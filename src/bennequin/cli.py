@@ -7,7 +7,7 @@ Subcommands::
     seifert     Seifert matrix of a knot closure (CSV or JSON)
     alexander   Alexander polynomial as exponent:coefficient pairs
     signature   exact signature/nullity/determinant of a matrix file
-    conj        decide conjugacy of two words, printing a certificate
+    conj        decide conjugacy of two words, printing a verified conjugator
     tau         propagate a tau constraint graph from a JSON file
     family      report for the n-th built-in family knot
     verify      run the whole identity suite up to a family index
@@ -21,26 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
-from . import quadform, rewrite
-from .alexander import alexander_from_seifert, burau_alexander
-from .braid import (
-    BraidWord,
-    ParseError,
-    closure_components,
-    family_type1_word,
-    family_word,
-    format_braid,
-    parse_braid,
-    self_linking,
-)
-from .garside import conjugacy_decide, verify_certificate, words_equal
+from . import checks, quadform
+from .alexander import burau_alexander
+from .braid import ParseError, format_braid, parse_braid
+from .garside import conjugacy_decide, verify_certificate
 from .report import (
     CSV_HEADER,
     family_report,
@@ -48,16 +37,8 @@ from .report import (
     report_to_dict,
     word_report,
 )
-from .seifert import family_four_ball_surface, seifert_matrix, twist_chain_matrix
-from .tau import (
-    TauConstraintGraph,
-    TauNode,
-    family_tau,
-    graph_from_dict,
-    intervals_to_dict,
-    propagate,
-)
-from .threebraid import psi_nonzero, s_invariant_type1, theta_and_contact_flags
+from .seifert import seifert_matrix
+from .tau import graph_from_dict, intervals_to_dict, propagate
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -74,6 +55,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps: a bad value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the diagram self-linking as maximal (enables defects)",
     )
-    p.add_argument("--candidate-cap", type=int, default=10**5)
-    p.add_argument("--node-cap", type=int, default=10**6)
+    p.add_argument("--candidate-cap", type=_positive_int, default=10**5)
+    p.add_argument("--node-cap", type=_positive_int, default=10**6)
 
     p = sub.add_parser("seifert", help="Seifert matrix of a knot closure")
     add_word_options(p)
@@ -112,26 +104,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--node-cap", type=int, default=10**6)
+    p.add_argument("--node-cap", type=_positive_int, default=10**6)
 
     p = sub.add_parser("tau", help="propagate a tau constraint graph")
     p.add_argument("graph_file", help="JSON: {nodes: [{name, tau?}], edges: [[a,b]]}")
 
     p = sub.add_parser("family", help="report for the n-th family knot")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p = sub.add_parser("verify", help="check the family identity suite")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--max-n", type=_positive_int, required=True)
+    p.add_argument("--seed", type=int, default=checks.SEED)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--candidate-cap", type=int, default=10**5)
-    p.add_argument("--node-cap", type=int, default=10**6)
+    p.add_argument("--candidate-cap", type=_positive_int, default=10**5)
+    p.add_argument("--node-cap", type=_positive_int, default=10**6)
     return parser
-
-
-def _parse_word(text: str, strands: int) -> BraidWord:
-    return parse_braid(text, strands)
 
 
 def _print_report(report, fmt: str, n: int | None = None) -> None:
@@ -141,36 +129,17 @@ def _print_report(report, fmt: str, n: int | None = None) -> None:
         print(CSV_HEADER)
         print(report_csv_row(report, n))
     else:
-        d = report_to_dict(report)
-        for key in (
-            "name",
-            "word",
-            "strands",
-            "exponent_sum",
-            "writhe",
-            "self_linking",
-            "max_self_linking",
-            "signature",
-            "alexander",
-            "determinant",
-            "g3_upper",
-            "g4",
-            "s",
-            "tau",
-            "defects",
-            "detectors",
-            "quasipositive_verdict",
-        ):
-            print(f"{key}: {d[key]}")
+        for key, value in report_to_dict(report).items():
+            print(f"{key}: {value}")
 
 
 def _cmd_parse(args) -> int:
-    print(format_braid(_parse_word(args.word, args.strands)))
+    print(format_braid(parse_braid(args.word, args.strands)))
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     report = word_report(
         w,
         assume_minimal_index=args.assume_minimal_index,
@@ -182,7 +151,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_seifert(args) -> int:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     matrix = seifert_matrix(w).matrix
     if args.format == "json":
         print(json.dumps([list(row) for row in matrix]))
@@ -193,7 +162,7 @@ def _cmd_seifert(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    w = _parse_word(args.word, args.strands)
+    w = parse_braid(args.word, args.strands)
     print(burau_alexander(w))
     return 0
 
@@ -224,14 +193,18 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_conj(args) -> int:
-    w1 = _parse_word(args.word1, args.strands)
-    w2 = _parse_word(args.word2, args.strands)
+    w1 = parse_braid(args.word1, args.strands)
+    w2 = parse_braid(args.word2, args.strands)
     cert = conjugacy_decide(w1, w2, node_cap=args.node_cap)
     if cert is None:
         print("not conjugate")
-    else:
-        print("conjugate")
-        print(f"conjugator: {format_braid(cert.conjugator) or '(empty)'}")
+        return 0
+    conjugator = format_braid(cert.conjugator) or "(empty)"
+    if not verify_certificate(w1, w2, cert.conjugator):
+        print(f"error: conjugator {conjugator} fails verification", file=sys.stderr)
+        return VERIFICATION_FAILURE
+    print("conjugate")
+    print(f"conjugator: {conjugator}")
     return 0
 
 
@@ -245,323 +218,21 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.n < 1:
-        print("usage error: --n must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     report = family_report(args.n)
     _print_report(report, args.format, args.n)
     return 0
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-
-def _random_knot_words(rng: random.Random, count: int) -> list[BraidWord]:
-    words = []
-    while len(words) < count:
-        n = rng.randint(2, 4)
-        length = rng.randint(n, 12)
-        letters = tuple(
-            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
-        )
-        w = BraidWord(n, letters)
-        if closure_components(w) != 1:
-            continue
-        if {abs(k) for k in letters} != set(range(1, n)):
-            continue
-        words.append(w)
-    return words
-
-
-def _det_fraction(rows) -> Fraction:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    size = len(mat)
-    det = Fraction(1)
-    for k in range(size):
-        pivot = next((i for i in range(k, size) if mat[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            det = -det
-        det *= mat[k][k]
-        for i in range(k + 1, size):
-            factor = mat[i][k] / mat[k][k]
-            for j in range(k, size):
-                mat[i][j] -= factor * mat[k][j]
-    return det
-
-
-def _random_symmetric(rng: random.Random, size: int) -> list[list[int]]:
-    mat = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            mat[i][j] = mat[j][i] = rng.randint(-4, 4)
-    return mat
-
-
-def _random_unimodular(rng: random.Random, size: int) -> list[list[int]]:
-    mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    if size < 2:
-        return mat
-    for _ in range(2 * size):
-        i, j = rng.sample(range(size), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        for k in range(size):
-            mat[i][k] += c * mat[j][k]
-    return mat
-
-
-def run_checks(
-    max_n: int,
-    seed: int = 20260810,
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
-) -> list[CheckResult]:
-    """Run the whole identity suite; family-indexed checks go up to max_n."""
-    if max_n < 1:
-        raise ValueError("--max-n must be >= 1")
-    results: list[CheckResult] = []
-
-    def check(name: str, fn) -> None:
-        start = time.perf_counter()
-        try:
-            detail = fn() or "ok"
-            passed = True
-        except Exception as exc:  # a failing identity is a result, not a crash
-            detail = f"{type(exc).__name__}: {exc}"
-            passed = False
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-
-    def self_linking_check():
-        for n in range(1, max_n + 1):
-            assert self_linking(family_word(n)) == -2 * n - 1, n
-            assert closure_components(family_word(n)) == 1, n
-        return f"sl = -2n-1 and knot closure for n=1..{max_n}"
-
-    check("self-linking", self_linking_check)
-
-    def pivot_check():
-        pivots = quadform.gauss_pivots(twist_chain_matrix(1))
-        expected = [
-            Fraction(-4),
-            Fraction(-7, 4),
-            Fraction(8, 7),
-            Fraction(9, 8),
-            Fraction(10, 9),
-            Fraction(11, 10),
-        ]
-        assert pivots == expected, pivots
-        assert quadform.signature(twist_chain_matrix(1)) == 2
-        return "pivots -4, -7/4, 8/7, 9/8, 10/9, 11/10; signature 2"
-
-    check("twist-chain pivots", pivot_check)
-
-    def induction_check():
-        top = max(40, 2 * max_n - 1)
-        for k in range(1, top + 1):
-            assert quadform.signature(twist_chain_matrix(k)) == k + 1, k
-            last = quadform.gauss_pivots(twist_chain_matrix(k))[-1]
-            assert last == Fraction(k + 10, k + 9), k
-        return f"signature k+1 and last pivot (k+10)/(k+9) for k=1..{top}"
-
-    check("twist-chain induction", induction_check)
-
-    def algorithmic_signature_check():
-        top = min(max_n, 10)
-        for n in range(1, top + 1):
-            assert quadform.knot_signature(family_word(n)) == 2 * n, n
-        return f"signature 2n from the algorithmic surface for n=1..{top}"
-
-    check("algorithmic signature", algorithmic_signature_check)
-
-    def genus_check():
-        from .report import g4_bounds
-
-        for n in range(1, max_n + 1):
-            surface = family_four_ball_surface(n)
-            assert surface.euler_characteristic == 1 - 2 * n, n
-            bounds = g4_bounds(2 * n, surface)
-            assert (bounds.lower, bounds.upper) == (n, n), n
-        return f"four-ball genus pinned to n for n=1..{max_n}"
-
-    check("four-ball genus", genus_check)
-
-    def conjugacy_check():
-        top = min(max_n, 8)
-        for n in range(1, top + 1):
-            cert = conjugacy_decide(
-                family_word(n), family_type1_word(n), node_cap=node_cap
-            )
-            assert cert is not None, n
-            assert verify_certificate(
-                family_word(n), family_type1_word(n), cert.conjugator
-            ), n
-        return f"verified conjugators onto the Type-1 form for n=1..{top}"
-
-    check("conjugacy", conjugacy_check)
-
-    def s_invariant_check():
-        top = min(max_n, 8)
-        for n in range(1, top + 1):
-            from .threebraid import type1_recognize
-
-            form = type1_recognize(
-                family_word(n), candidate_cap=candidate_cap, node_cap=node_cap
-            )
-            assert form is not None and form.d == 1, n
-            assert form.blocks == ((1, 2 * n + 5),), n
-            s = s_invariant_type1(family_word(n), candidate_cap, node_cap)
-            assert s == -2 * n, n
-        return f"s = -2n via d=1, a1=2n+5 for n=1..{top}"
-
-    check("s-invariant", s_invariant_check)
-
-    def tau_check():
-        for n in range(1, max_n + 1):
-            assert family_tau(n) == -n, n
-            partial = TauConstraintGraph(
-                nodes=(TauNode("K"), TauNode("P", -n)),
-                edges=(("P", "K"),),
-            )
-            interval = propagate(partial)["K"]
-            assert (interval.lower, interval.upper) == (-n, -n + 1), n
-        return f"tau = -n with intermediate interval [-n, -n+1] for n=1..{max_n}"
-
-    check("tau", tau_check)
-
-    def defect_growth_check():
-        top = min(max_n, 8)
-        for n in range(1, top + 1):
-            report = family_report(n)
-            assert report.defects.delta4 == 2 * n, n
-            assert report.defects.delta_s == 0, n
-            assert report.defects.delta_tau == 0, n
-            assert report.quasipositive_verdict == "not_quasipositive", n
-        return f"defects (2n, 0, 0) and nonquasipositive for n=1..{top}"
-
-    check("defect growth", defect_growth_check)
-
-    def oracle_check():
-        rng = random.Random(seed)
-        words = _random_knot_words(rng, 200)
-        for w in words:
-            v = seifert_matrix(w).matrix
-            size = len(v)
-            skew = [[v[i][j] - v[j][i] for j in range(size)] for i in range(size)]
-            assert _det_fraction(skew) == 1, w
-            sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-            sym_det = quadform.det_exact(sym)
-            sigma = quadform.signature(sym)
-            assert sigma % 2 == 0, w
-            alex_seifert = alexander_from_seifert([list(r) for r in v])
-            alex_burau = burau_alexander(w)
-            assert alex_seifert == alex_burau, w
-            determinant = abs(int(alex_burau.eval_at(-1)))
-            assert determinant % 2 == 1, w
-            assert abs(sym_det) == determinant, w
-        return "200 random knot closures: both Alexander routes agree"
-
-    check("oracle equivalence", oracle_check)
-
-    def congruence_check():
-        rng = random.Random(seed + 1)
-        for _ in range(100):
-            size = rng.randint(1, 10)
-            mat = _random_symmetric(rng, size)
-            basis = _random_unimodular(rng, size)
-            transformed = [
-                [
-                    sum(
-                        basis[k][i] * mat[k][l] * basis[l][j]
-                        for k in range(size)
-                        for l in range(size)
-                    )
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-            d1 = quadform.congruence_diagonalize(mat)
-            d2 = quadform.congruence_diagonalize(transformed)
-            assert (d1.signature, d1.nullity) == (d2.signature, d2.nullity)
-        return "signature and nullity invariant under 100 unimodular congruences"
-
-    check("congruence invariance", congruence_check)
-
-    def word_problem_check():
-        rng = random.Random(seed + 2)
-        for trial in range(100):
-            letters1 = tuple(
-                rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8))
-            )
-            w1 = BraidWord(3, letters1)
-            if trial % 2 == 0:
-                w2 = BraidWord(
-                    3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
-                )
-            else:
-                current = letters1
-                for _ in range(rng.randint(1, 3)):
-                    neighbors = list(
-                        rewrite._neighbors(current, 3, len(letters1) + 4)
-                    )
-                    if not neighbors:
-                        break
-                    current = rng.choice(neighbors)
-                w2 = BraidWord(3, current)
-            assert rewrite.rewriting_equal(w1, w2) == words_equal(w1, w2), (
-                letters1,
-                w2.letters,
-            )
-        assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
-        assert words_equal(BraidWord(3, (1, -1)), BraidWord(3, ()))
-        return "normal forms agree with bounded rewriting on 100 pairs"
-
-    check("word problem", word_problem_check)
-
-    def detectors_check():
-        top = min(max_n, 8)
-        for n in range(1, top + 1):
-            w = family_word(n)
-            assert psi_nonzero(w, -2 * n), n
-            flags = theta_and_contact_flags(w, -2 * n)
-            assert flags.right_veering and flags.theta_nonzero, n
-            assert flags.contact_nonzero, n
-        return f"transverse detectors fire for n=1..{top}"
-
-    check("detectors", detectors_check)
-    return results
-
-
 def _cmd_verify(args) -> int:
-    if args.max_n < 1:
-        print("usage error: --max-n must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    results = run_checks(
+    results = checks.run_checks(
         args.max_n,
         seed=args.seed,
         candidate_cap=args.candidate_cap,
         node_cap=args.node_cap,
     )
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "seconds": round(r.seconds, 3),
-                    }
-                    for r in results
-                ]
-            )
-        )
+        rows = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
+        print(json.dumps(rows))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -15,7 +15,9 @@ returning.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +43,7 @@ from .seifert import (
     twist_chain_matrix,
 )
 from .tau import TauInterval, family_tau
-from .threebraid import psi_nonzero, s_invariant_type1, theta_and_contact_flags
+from .threebraid import s_bound_sharp, s_invariant_type1
 
 NOT_QUASIPOSITIVE = "not_quasipositive"
 UNKNOWN = "unknown"
@@ -85,6 +87,8 @@ class Defects:
 
 @dataclass(frozen=True)
 class Detectors:
+    """Transverse detectors; each is the s-bound sharpness of the diagram."""
+
     psi_nonzero: bool
     right_veering: bool
     theta_nonzero: bool
@@ -241,24 +245,8 @@ def family_report(n: int) -> InvariantReport:
         "self-linking chain",
     )
 
-    flags = theta_and_contact_flags(w, s)
-    detector_record = Detectors(
-        psi_nonzero=psi_nonzero(w, s),
-        right_veering=flags.right_veering,
-        theta_nonzero=flags.theta_nonzero,
-        contact_nonzero=flags.contact_nonzero,
-    )
-    _check(
-        all(
-            (
-                detector_record.psi_nonzero,
-                detector_record.right_veering,
-                detector_record.theta_nonzero,
-                detector_record.contact_nonzero,
-            )
-        ),
-        "transverse detectors fire",
-    )
+    sharp = s_bound_sharp(w, s)
+    _check(sharp, "transverse detectors fire")
 
     name = f"K{n}"
     if n in FAMILY_TABLE_NAMES:
@@ -279,102 +267,55 @@ def family_report(n: int) -> InvariantReport:
         s=SValue(s, "type1-writhe"),
         tau=TauInterval(tau_value, tau_value),
         defects=defect_values,
-        detectors=detector_record,
+        detectors=Detectors(sharp, sharp, sharp, sharp),
         quasipositive_verdict=quasipositive_verdict(defect_values),
     )
 
 
-def _fraction_to_json(value: Fraction | None):
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def _to_json(value):
+    """JSON-ready form of a report value, recursing through dataclass fields.
+
+    A Fraction becomes an int or a "p/q" string, a Laurent polynomial an
+    {exponent: coefficient} object with string keys.
+    """
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, LaurentPoly):
+        return {str(e): c for e, c in value.coeffs}
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    return value
 
 
-def _fraction_from_json(value) -> Fraction | None:
+def _from_json(annotation, value):
+    """Inverse of :func:`_to_json` for a value of the annotated field type."""
     if value is None:
         return None
-    if isinstance(value, str):
+    optional = [t for t in typing.get_args(annotation) if t is not type(None)]
+    tp = optional[0] if optional else annotation  # ``X | None`` -> X
+    if tp is Fraction:
         return Fraction(value)
-    return Fraction(value)
+    if tp is LaurentPoly:
+        return LaurentPoly.from_dict({int(e): c for e, c in value.items()})
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = dataclasses.fields(tp)
+        return tp(*(_from_json(hints[f.name], value[f.name]) for f in fields))
+    return value
 
 
 def report_to_dict(report: InvariantReport) -> dict:
-    """JSON-ready dictionary mirroring the report fields."""
-    return {
-        "name": report.name,
-        "word": report.word,
-        "strands": report.strands,
-        "exponent_sum": report.exponent_sum,
-        "writhe": report.writhe,
-        "self_linking": report.self_linking,
-        "max_self_linking": {
-            "value": report.max_self_linking.value,
-            "assumes_minimal_index": report.max_self_linking.assumes_minimal_index,
-        },
-        "signature": report.signature,
-        "alexander": {str(e): c for e, c in report.alexander.coeffs},
-        "determinant": report.determinant,
-        "g3_upper": report.g3_upper,
-        "g4": {"lower": report.g4.lower, "upper": report.g4.upper},
-        "s": None
-        if report.s is None
-        else {"value": report.s.value, "method": report.s.method},
-        "tau": {"lower": report.tau.lower, "upper": report.tau.upper},
-        "defects": {
-            "delta4": _fraction_to_json(report.defects.delta4),
-            "delta_s": _fraction_to_json(report.defects.delta_s),
-            "delta_tau": _fraction_to_json(report.defects.delta_tau),
-        },
-        "detectors": {
-            "psi_nonzero": report.detectors.psi_nonzero,
-            "right_veering": report.detectors.right_veering,
-            "theta_nonzero": report.detectors.theta_nonzero,
-            "contact_nonzero": report.detectors.contact_nonzero,
-        },
-        "quasipositive_verdict": report.quasipositive_verdict,
-    }
+    """JSON-ready dictionary mirroring the report fields, in field order."""
+    return _to_json(report)
 
 
 def report_from_dict(data: dict) -> InvariantReport:
     """Inverse of :func:`report_to_dict`."""
-    alex = LaurentPoly(
-        tuple(sorted((int(e), int(c)) for e, c in data["alexander"].items()))
-    )
-    s_data = data["s"]
-    detectors = data["detectors"]
-    return InvariantReport(
-        name=data["name"],
-        word=data["word"],
-        strands=data["strands"],
-        exponent_sum=data["exponent_sum"],
-        writhe=data["writhe"],
-        self_linking=data["self_linking"],
-        max_self_linking=MaxSelfLinking(
-            data["max_self_linking"]["value"],
-            data["max_self_linking"]["assumes_minimal_index"],
-        ),
-        signature=data["signature"],
-        alexander=alex,
-        determinant=data["determinant"],
-        g3_upper=data["g3_upper"],
-        g4=G4Bounds(data["g4"]["lower"], data["g4"]["upper"]),
-        s=None if s_data is None else SValue(s_data["value"], s_data["method"]),
-        tau=TauInterval(data["tau"]["lower"], data["tau"]["upper"]),
-        defects=Defects(
-            _fraction_from_json(data["defects"]["delta4"]),
-            _fraction_from_json(data["defects"]["delta_s"]),
-            _fraction_from_json(data["defects"]["delta_tau"]),
-        ),
-        detectors=Detectors(
-            detectors["psi_nonzero"],
-            detectors["right_veering"],
-            detectors["theta_nonzero"],
-            detectors["contact_nonzero"],
-        ),
-        quasipositive_verdict=data["quasipositive_verdict"],
-    )
+    return _from_json(InvariantReport, data)
 
 
 CSV_HEADER = (
@@ -386,7 +327,7 @@ def report_csv_row(report: InvariantReport, n: int | None = None) -> str:
     """One summary line matching :data:`CSV_HEADER`."""
 
     def frac(value: Fraction | None) -> str:
-        json_value = _fraction_to_json(value)
+        json_value = _to_json(value)
         return "" if json_value is None else str(json_value)
 
     tau = report.tau
@@ -458,16 +399,7 @@ def word_report(
         s=s_value.value if (assume_minimal_index and s_value) else None,
         tau_exact=None,
     )
-    if s_value:
-        flags = theta_and_contact_flags(w, s_value.value)
-        detector_record = Detectors(
-            psi_nonzero=psi_nonzero(w, s_value.value),
-            right_veering=flags.right_veering,
-            theta_nonzero=flags.theta_nonzero,
-            contact_nonzero=flags.contact_nonzero,
-        )
-    else:
-        detector_record = Detectors(False, False, False, False)
+    sharp = s_value is not None and s_bound_sharp(w, s_value.value)
     return InvariantReport(
         name=name or format_braid(w),
         word=format_braid(w),
@@ -484,6 +416,6 @@ def word_report(
         s=s_value,
         tau=TauInterval(None, None),
         defects=defect_values,
-        detectors=detector_record,
+        detectors=Detectors(sharp, sharp, sharp, sharp),
         quasipositive_verdict=quasipositive_verdict(defect_values),
     )

@@ -136,10 +136,6 @@ def seifert_genus_upper(w: BraidWord) -> int:
     return seifert_matrix(w).genus
 
 
-def band_presentation(disks: int, bands: int) -> BandPresentation:
-    return BandPresentation(disks, bands)
-
-
 def family_four_ball_surface(n: int) -> BandPresentation:
     """Disk-band surface bounding the n-th family knot after pushing its
     ribbon intersections into the four-ball: 3 disks and 2n+2 bands."""

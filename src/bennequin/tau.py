@@ -169,13 +169,36 @@ def graph_from_dict(data: dict) -> TauConstraintGraph:
     """Build a graph from the JSON wire format.
 
     Expected shape: {"nodes": [{"name": str, "tau": int?}, ...],
-    "edges": [[from, to], ...]}.
+    "edges": [[from, to], ...]}.  Anything else raises ValueError, so no
+    float or boolean tau reaches the integer intervals.
     """
-    nodes = tuple(
-        TauNode(entry["name"], entry.get("tau")) for entry in data["nodes"]
-    )
-    edges = tuple((a, b) for a, b in data["edges"])
-    return TauConstraintGraph(nodes, edges)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("nodes"), list)
+        and isinstance(data.get("edges"), list)
+    ):
+        raise ValueError('expected {"nodes": [...], "edges": [...]}')
+    nodes = []
+    for entry in data["nodes"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"node {entry!r} is not an object")
+        name, tau = entry["name"], entry.get("tau")
+        if not isinstance(name, str):
+            raise ValueError(f"node name {name!r} is not a string")
+        # bool is a subclass of int, so test the exact type
+        if tau is not None and type(tau) is not int:
+            raise ValueError(f"tau of node {name!r} is {tau!r}, not an integer")
+        nodes.append(TauNode(name, tau))
+    edges = []
+    for edge in data["edges"]:
+        if not (
+            isinstance(edge, (list, tuple))
+            and len(edge) == 2
+            and all(isinstance(end, str) for end in edge)
+        ):
+            raise ValueError(f"edge {edge!r} is not a pair of node names")
+        edges.append(tuple(edge))
+    return TauConstraintGraph(tuple(nodes), tuple(edges))
 
 
 def intervals_to_dict(intervals: dict[str, TauInterval]) -> dict:

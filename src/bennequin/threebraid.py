@@ -10,7 +10,7 @@ Martin's theorem computes the Rasmussen invariant from the diagram:
 s = writhe - 2.  Sharpness of that bound (self-linking = s - 1) in turn
 forces Plamenevskaya's Khovanov class, right-veeringness, the knot Floer
 transverse class, and the contact class of the branched double cover to be
-nonzero; the detectors below check those sufficient conditions.
+nonzero; :func:`s_bound_sharp` tests that one sufficient condition.
 
 Recognition enumerates candidate normal forms whose exponent sum matches
 the input, bounded by the input length, and tests each with the Garside
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, closure_permutation, exponent_sum
+from .braid import BraidWord, closure_components, exponent_sum
 from .garside import (
     ConjugacyCertificate,
     SearchBudgetExceeded,
@@ -88,8 +88,10 @@ def type1_recognize(
 
     Candidates are enumerated with the full-twist power d ascending, then
     total sigma_1 exponent, then block count; the sigma_2 total is forced
-    by the exponent sum.  Returns the first conjugate candidate with its
-    verified certificate, or None if the bounded family holds no match.
+    by the exponent sum.  Returns the first conjugate candidate with the
+    certificate :func:`conjugacy_decide` produced, or None if the bounded
+    family holds no match.  The certificate is not re-checked here; callers
+    that need proof pass it to :func:`garside.verify_certificate`.
     Raises :class:`SearchBudgetExceeded` when the candidate cap is hit, a
     distinct outcome from a completed no-match search.
     """
@@ -97,7 +99,8 @@ def type1_recognize(
         raise ValueError("Type-1 recognition applies to 3-braids only")
     length = len(w.letters)
     e = exponent_sum(w)
-    cycle_type = tuple(sorted(_cycle_lengths(w)))
+    # On 3 strands the cycle count fixes the cycle type of the permutation.
+    components = closure_components(w)
     # Candidates are capped at the input length plus the full twists' worth
     # of slack: a form h^d B has 12d + 2*sum(b_i) - e letters, so sum(b_i)
     # is at most (length + e - 6d) / 2.
@@ -118,29 +121,12 @@ def type1_recognize(
                             )
                         blocks = tuple(zip(bs, surplus))
                         candidate = type1_word(d, blocks)
-                        if tuple(sorted(_cycle_lengths(candidate))) != cycle_type:
+                        if closure_components(candidate) != components:
                             continue
                         cert = conjugacy_decide(candidate, w, node_cap=node_cap)
                         if cert is not None:
                             return Type1Form(d, blocks, cert)
     return None
-
-
-def _cycle_lengths(w: BraidWord) -> list[int]:
-    image = closure_permutation(w).image
-    seen = [False] * len(image)
-    lengths = []
-    for start in range(len(image)):
-        if seen[start]:
-            continue
-        count = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = image[p] - 1
-            count += 1
-        lengths.append(count)
-    return lengths
 
 
 def s_invariant_type1(
@@ -166,31 +152,14 @@ def s_invariant_type1(
     return None
 
 
-def psi_nonzero(w: BraidWord, s: int) -> bool:
-    """Sufficient condition for Plamenevskaya's class: s - 1 = writhe - strands.
+def s_bound_sharp(w: BraidWord, s: int) -> bool:
+    """Whether the diagram attains the s-bound: s - 1 = writhe - strands.
 
     ``s`` is the Rasmussen invariant of the closure, supplied by the
-    caller.  False means the criterion is inconclusive, not that the class
-    vanishes.
+    caller.  Sharpness is sufficient for all four transverse detectors:
+    Plamenevskaya's class psi and the knot Floer class theta are nonzero,
+    the closure is right-veering, and the contact class of the associated
+    contact structure is nonzero.  False means inconclusive, not that a
+    class vanishes.
     """
     return s - 1 == exponent_sum(w) - w.strands
-
-
-@dataclass(frozen=True)
-class TransverseFlags:
-    right_veering: bool
-    theta_nonzero: bool
-    contact_nonzero: bool
-
-
-def theta_and_contact_flags(w: BraidWord, s: int) -> TransverseFlags:
-    """Flags implied by sharpness of the s-bound: self-linking = s - 1.
-
-    When the diagram attains the bound, the closure is right-veering, the
-    knot Floer transverse class is nonzero, and so is the contact class of
-    the associated contact structure.  False flags mean inconclusive.
-    """
-    sharp = -w.strands + exponent_sum(w) == s - 1
-    return TransverseFlags(
-        right_veering=sharp, theta_nonzero=sharp, contact_nonzero=sharp
-    )

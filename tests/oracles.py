@@ -2,13 +2,22 @@
 
 Everything here is deliberately written against raw lists/dicts rather
 than the package's own types, so an agreement test really compares two
-implementations.
+implementations.  The seeded corpora are not oracles: they come from
+:mod:`bennequin.checks`, so the tests and ``bennequin verify`` draw the
+same words and matrices from a seed.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from bennequin.checks import (  # noqa: F401  (re-exported corpora)
+    congruence_transform,
+    random_knot_words,
+    random_symmetric,
+    random_unimodular,
+)
 
 
 def det_fraction(rows) -> Fraction:
@@ -112,63 +121,6 @@ def random_words(rng: random.Random, count: int, strands: int, max_len: int):
         )
         words.append(BraidWord(strands, letters))
     return words
-
-
-def random_knot_words(rng: random.Random, count: int, max_strands=4, max_len=12):
-    """Words whose closure is a knot with every generator column used."""
-    from bennequin.braid import BraidWord, closure_components
-
-    words = []
-    while len(words) < count:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(n, max_len)
-        letters = tuple(
-            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
-        )
-        w = BraidWord(n, letters)
-        if {abs(k) for k in letters} != set(range(1, n)):
-            continue
-        if closure_components(w) != 1:
-            continue
-        words.append(w)
-    return words
-
-
-def random_symmetric(rng: random.Random, size: int, bound: int = 4):
-    mat = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            mat[i][j] = mat[j][i] = rng.randint(-bound, bound)
-    return mat
-
-
-def random_unimodular(rng: random.Random, size: int):
-    """Product of integer transvections, so determinant +1."""
-    mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    if size < 2:
-        return mat
-    for _ in range(2 * size):
-        i, j = rng.sample(range(size), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        for k in range(size):
-            mat[i][k] += c * mat[j][k]
-    return mat
-
-
-def congruence_transform(mat, basis):
-    """P^T S P for integer matrices."""
-    size = len(mat)
-    return [
-        [
-            sum(
-                basis[k][i] * mat[k][l] * basis[l][j]
-                for k in range(size)
-                for l in range(size)
-            )
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
 
 
 def float_signature(mat) -> int | None:

@@ -1,14 +1,35 @@
 """Command-line behavior: output formats, exit codes, file interfaces."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from bennequin import checks, cli
+from bennequin.braid import BraidWord
 from bennequin.cli import run
+from bennequin.garside import ConjugacyCertificate
+
+# Exact CLI outputs, so any change to them is deliberate; verify rows omit
+# their timings.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [c for c in GOLDEN if not c.startswith("verify")])
+def test_golden_output(capsys, command):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert out == GOLDEN[command]
 
 
 def test_parse_canonical_output(capsys):
@@ -123,6 +144,15 @@ def test_conj_family_pair(capsys):
     assert "conjugator:" in out
 
 
+def test_conj_rejects_a_wrong_conjugator(capsys, monkeypatch):
+    wrong = ConjugacyCertificate(BraidWord(3, ()))
+    monkeypatch.setattr(cli, "conjugacy_decide", lambda *args, **kwargs: wrong)
+    code, out, err = run_cli(capsys, "conj", "1 2", "2 1", "--strands", "3")
+    assert code == 3
+    assert out == ""
+    assert "fails verification" in err
+
+
 def test_conj_negative(capsys):
     code, out, _ = run_cli(capsys, "conj", "1^3", "-1^3", "--strands", "2")
     assert code == 0
@@ -156,6 +186,25 @@ def test_tau_contradiction_exit(tmp_path, capsys):
     assert "empty interval" in err
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"nodes": [{"name": "P", "tau": 1.5}], "edges": []}, "not an integer"),
+        ({"nodes": [{"name": "P", "tau": True}], "edges": []}, "not an integer"),
+        ({"nodes": [{"name": 7, "tau": 1}], "edges": []}, "not a string"),
+        ({"nodes": [{"name": "P"}], "edges": [["P"]]}, "not a pair"),
+        ([{"name": "P"}], "expected"),
+    ],
+)
+def test_tau_malformed_graph_exit(tmp_path, capsys, graph, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_invariants_json_round_trips(capsys):
     code, out, _ = run_cli(
         capsys, "invariants", "1 1 1", "--strands", "2", "--format", "json"
@@ -170,11 +219,53 @@ def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "1", "--format", "json")
     assert code == 0
     rows = json.loads(out)
-    assert len(rows) >= 12
-    assert all(row["passed"] for row in rows)
+    assert all(row.pop("seconds") >= 0 for row in rows)
+    assert rows == GOLDEN["verify --max-n 1 --format json"]
 
 
 def test_verify_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--max-n", "0")
     assert code == 1
     assert "usage" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-n", "-1"),
+        ("verify", "--max-n", "1", "--candidate-cap", "0"),
+        ("conj", "1", "1", "--strands", "2", "--node-cap", "-1"),
+        ("invariants", "1 1 1", "--strands", "2", "--node-cap", "0"),
+        ("invariants", "1 1 1", "--strands", "2", "--candidate-cap", "many"),
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "positive integer" in err
+
+
+def test_checks_fail_under_python_optimize():
+    # Wrong identities must fail even when ``python -O`` strips asserts.
+    script = (
+        "import json, sys\n"
+        "from bennequin import checks\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "checks.family_tau = lambda n: 0\n"
+        "checks.self_linking = lambda w: 0\n"
+        "print(json.dumps({r.name: r.passed for r in checks.run_checks(1)}))\n"
+    )
+    src = str(Path(checks.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    passed = json.loads(done.stdout)
+    assert [name for name, ok in passed.items() if not ok] == ["self-linking", "tau"]

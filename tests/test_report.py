@@ -1,6 +1,7 @@
 """Defect computations and the aggregated invariant report."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from bennequin.report import (
     report_to_dict,
     word_report,
 )
-from bennequin.seifert import band_presentation, family_four_ball_surface
+from bennequin.seifert import BandPresentation, family_four_ball_surface
 from bennequin.tau import TauInterval
 
 
@@ -38,10 +39,10 @@ def test_g4_bounds_pinned_by_surface():
 
 
 def test_g4_bounds_unknot_and_fallback():
-    assert g4_bounds(0, band_presentation(1, 0)) == G4Bounds(0, 0)
+    assert g4_bounds(0, BandPresentation(1, 0)) == G4Bounds(0, 0)
     assert g4_bounds(2, g3_upper=4) == G4Bounds(1, 4)
     with pytest.raises(ValueError, match="inconsistent"):
-        g4_bounds(6, band_presentation(1, 0))
+        g4_bounds(6, BandPresentation(1, 0))
     with pytest.raises(ValueError):
         g4_bounds(2)
 
@@ -135,9 +136,13 @@ def test_inequality_chain():
 
 
 def test_report_json_round_trip():
-    report = family_report(2)
-    payload = json.dumps(report_to_dict(report), sort_keys=True)
-    assert report_from_dict(json.loads(payload)) == report
+    family = family_report(2)
+    unknown = word_report(BraidWord(2, (1, 1, 1)))  # s, tau and defects missing
+    halves = replace(family, defects=Defects(Fraction(5, 2), None, Fraction(-1, 2)))
+    for report in (family, unknown, halves):
+        payload = json.dumps(report_to_dict(report), sort_keys=True)
+        assert report_from_dict(json.loads(payload)) == report
+    assert report_to_dict(halves)["defects"]["delta4"] == "5/2"
 
 
 def test_report_csv_row():

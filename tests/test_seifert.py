@@ -11,7 +11,6 @@ from bennequin.seifert import (
     BandPresentation,
     DisconnectedSurfaceError,
     NotAKnotError,
-    band_presentation,
     family_four_ball_surface,
     reduced_surface_seifert_matrix,
     seifert_genus_upper,
@@ -107,13 +106,13 @@ def test_genus_upper_bounds():
 
 
 def test_band_presentations():
-    disk = band_presentation(1, 0)
+    disk = BandPresentation(1, 0)
     assert disk.euler_characteristic == 1
     assert disk.genus == 0
     with pytest.raises(ValueError):
-        band_presentation(0, 2)
+        BandPresentation(0, 2)
     with pytest.raises(ValueError):
-        band_presentation(1, -1)
+        BandPresentation(1, -1)
 
 
 def test_family_four_ball_surface_counts():

