@@ -125,8 +125,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant of a square matrix of Laurent polynomials.
 
-    Cofactor expansion for small matrices, fraction-free Bareiss
-    elimination (with exact ring division) for larger ones.
+    Fraction-free Bareiss elimination: every step divides exactly by the
+    previous pivot, so all entries stay Laurent polynomials.  A zero pivot
+    is replaced by swapping in a lower row; when none is left, the matrix
+    is singular.
     """
     size = len(matrix)
     for row in matrix:
@@ -134,30 +136,6 @@ def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
             raise ValueError("matrix must be square")
     if size == 0:
         return ONE
-    if size <= 6:
-        return _det_cofactor(matrix)
-    return _det_bareiss(matrix)
-
-
-def _det_cofactor(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = ZERO
-    for j in range(size):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [matrix[i][k] for k in range(size) if k != j] for i in range(1, size)
-        ]
-        term = entry * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    size = len(matrix)
     mat = [row[:] for row in matrix]
     sign = 1
     prev = ONE

@@ -77,13 +77,19 @@ class ClosurePermutation:
 
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
 
+# Longest word parse_braid builds.  Far beyond what the Seifert, Burau and
+# Garside stages finish on, and small enough that k^m text cannot ask for
+# an unbounded list.
+MAX_LETTERS = 100_000
+
 
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace/comma-separated tokens into a braid word.
 
     Each token is a signed generator index ``k`` or a repetition ``k^m``
     with m >= 1, which expands to m copies of k.  The strand count is never
-    inferred from the text.
+    inferred from the text.  A word longer than :data:`MAX_LETTERS` is
+    rejected before it is expanded.
     """
     if strands < 1:
         raise ParseError("a braid needs at least one strand")
@@ -102,6 +108,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             rep = int(m.group(2))
             if rep < 1:
                 raise ParseError(f"repetition count in {tok!r} must be >= 1")
+        if len(letters) + rep > MAX_LETTERS:
+            raise ParseError(f"word exceeds the letter limit of {MAX_LETTERS}")
         letters.extend([k] * rep)
     return BraidWord(strands, tuple(letters))
 

@@ -149,7 +149,7 @@ def _four_ball_genus(max_n: int, *_) -> str:
     for n in range(1, max_n + 1):
         surface = family_four_ball_surface(n)
         _expect(surface.euler_characteristic, 1 - 2 * n, f"Euler characteristic, K{n}")
-        bounds = g4_bounds(2 * n, surface)
+        bounds = g4_bounds(2 * n, surface.genus)
         _expect((bounds.lower, bounds.upper), (n, n), f"four-ball genus bounds of K{n}")
     return f"four-ball genus pinned to n for n=1..{max_n}"
 

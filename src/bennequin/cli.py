@@ -173,6 +173,8 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
     if not tokens:
         raise ValueError("matrix file is empty")
     size = int(tokens[0])
+    if size < 0:
+        raise ValueError(f"matrix size must be >= 0, got {size}")
     entries = tokens[1:]
     if len(entries) != size * size:
         raise ValueError(

@@ -7,9 +7,11 @@ For a knot K with maximal self-linking number SL, the three defects are
     delta_tau = (2*tau(K) - 1 - SL) / 2    (tau-Bennequin slack)
 
 all nonnegative, and all zero for quasipositive knots, so a positive
-defect certifies nonquasipositivity.  :func:`family_report` runs the whole
-pipeline on the built-in family, whose closures have delta_4 = 2n while
-delta_s and delta_tau stay 0, and cross-checks every identity before
+defect certifies nonquasipositivity.  One pipeline builds every report:
+:func:`word_report` runs it on any knot-closure word, and
+:func:`family_report` runs it on the built-in family with the family's
+certified four-ball genus and tau, then cross-checks every closed-form
+identity (delta_4 = 2n while delta_s and delta_tau stay 0) before
 returning.
 """
 
@@ -37,7 +39,6 @@ from .braid import (
 )
 from .garside import SearchBudgetExceeded
 from .seifert import (
-    BandPresentation,
     family_four_ball_surface,
     seifert_matrix,
     twist_chain_matrix,
@@ -116,28 +117,14 @@ class InvariantReport:
     quasipositive_verdict: str
 
 
-def max_self_linking(w: BraidWord, minimal_index_assumed: bool) -> MaxSelfLinking:
-    """Self-linking of the diagram, flagged by whether it is claimed maximal."""
-    return MaxSelfLinking(self_linking(w), minimal_index_assumed)
-
-
-def g4_bounds(
-    sigma: int,
-    surface: BandPresentation | None = None,
-    g3_upper: int | None = None,
-) -> G4Bounds:
+def g4_bounds(sigma: int, upper: int) -> G4Bounds:
     """Four-ball genus bounds: |signature|/2 below, a surface genus above.
 
-    The caller vouches that the surface (or the fallback Seifert genus
-    bound) belongs to the same knot as the signature.
+    ``upper`` is the genus of a surface the knot bounds, in the three-sphere
+    or the four-ball; the caller vouches that it belongs to the same knot
+    as the signature.
     """
     lower = math.ceil(abs(sigma) / 2)
-    if surface is not None:
-        upper = surface.genus
-    elif g3_upper is not None:
-        upper = g3_upper
-    else:
-        raise ValueError("need a surface or a Seifert genus fallback")
     if upper < lower:
         raise ValueError(
             f"inconsistent genus bounds: lower {lower} exceeds upper {upper}"
@@ -189,87 +176,120 @@ def _check(condition: bool, identity: str) -> None:
         raise RuntimeError(f"family report identity violated: {identity}")
 
 
-def family_report(n: int) -> InvariantReport:
-    """Full invariant report of the n-th family knot.
+def _pipeline(
+    w: BraidWord,
+    name: str,
+    assume_minimal_index: bool,
+    candidate_cap: int = 10**5,
+    node_cap: int = 10**6,
+    four_ball_genus: int | None = None,
+    tau: int | None = None,
+) -> tuple[InvariantReport, tuple[tuple[int, ...], ...]]:
+    """Report of a knot-closure word, each stage run once.
 
-    Every closed-form identity the family satisfies is asserted before the
-    report is returned, including the cross-check of the algorithmic
-    Seifert signature against the twist-chain matrix.
+    ``four_ball_genus`` is the genus of a surface the knot bounds in the
+    four-ball; without it the Seifert genus bounds g4 from above.  ``tau``
+    is a certified tau; without it tau stays unbounded.  Returns the report
+    and the Seifert matrix it was computed from.
     """
-    if n < 1:
-        raise ValueError("family index must be >= 1")
-    w = family_word(n)
+    if closure_components(w) != 1:
+        raise ValueError("closure has more than one component")
+    word = format_braid(w)
     e = exponent_sum(w)
-    sl = self_linking(w)
-    _check(closure_components(w) == 1, "family closure is a knot")
-    _check(sl == -2 * n - 1, "self-linking = -2n-1")
-
     data = seifert_matrix(w)
     v = data.matrix
     size = len(v)
     sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
     sigma = quadform.signature(sym)
-    _check(sigma == 2 * n, "signature = 2n")
-    _check(
-        quadform.signature(twist_chain_matrix(2 * n - 1)) == sigma,
-        "twist-chain matrix signature agrees with the algorithmic surface",
-    )
-
     alex = burau_alexander(w)
-    _check(
-        alexander_from_seifert([list(row) for row in v]) == alex,
-        "Seifert and Burau routes give one Alexander polynomial",
-    )
     determinant = abs(int(alex.eval_at(-1)))
-
     g3_upper = data.genus
-    g4 = g4_bounds(sigma, family_four_ball_surface(n))
-    _check(g4 == G4Bounds(n, n), "four-ball genus = n")
+    g4 = g4_bounds(sigma, g3_upper if four_ball_genus is None else four_ball_genus)
 
-    s = s_invariant_type1(w)
-    _check(s == -2 * n, "s = -2n")
-    tau_value = family_tau(n)
-    _check(tau_value == -n, "tau = -n")
+    s_value: SValue | None = None
+    if w.strands == 3:
+        try:
+            s = s_invariant_type1(w, candidate_cap=candidate_cap, node_cap=node_cap)
+        except SearchBudgetExceeded:
+            s = None
+        if s is not None:
+            s_value = SValue(s, "type1-writhe")
 
-    sl_max = max_self_linking(w, minimal_index_assumed=True)
+    sl = self_linking(w)
+    # the diagram value is SL only under the minimal-index assumption
     defect_values = defects(
-        sl_max.value, g4_exact=g4.upper, s=s, tau_exact=tau_value
+        sl,
+        g4_exact=g4.upper if (assume_minimal_index and g4.lower == g4.upper) else None,
+        s=s_value.value if (assume_minimal_index and s_value) else None,
+        tau_exact=tau if assume_minimal_index else None,
     )
-    _check(
-        defect_values
-        == Defects(Fraction(2 * n), Fraction(0), Fraction(0)),
-        "defects = (2n, 0, 0)",
-    )
-    _check(
-        sl_max.value <= s - 1 <= 2 * g4.upper - 1 <= 2 * g3_upper - 1,
-        "self-linking chain",
-    )
-
-    sharp = s_bound_sharp(w, s)
-    _check(sharp, "transverse detectors fire")
-
-    name = f"K{n}"
-    if n in FAMILY_TABLE_NAMES:
-        name = f"K{n} ({FAMILY_TABLE_NAMES[n]})"
-    return InvariantReport(
-        name=name,
-        word=format_braid(w),
+    sharp = s_value is not None and s_bound_sharp(w, s_value.value)
+    report = InvariantReport(
+        name=name or word,
+        word=word,
         strands=w.strands,
         exponent_sum=e,
         writhe=e,
         self_linking=sl,
-        max_self_linking=sl_max,
+        max_self_linking=MaxSelfLinking(sl, assume_minimal_index),
         signature=sigma,
         alexander=alex,
         determinant=determinant,
         g3_upper=g3_upper,
         g4=g4,
-        s=SValue(s, "type1-writhe"),
-        tau=TauInterval(tau_value, tau_value),
+        s=s_value,
+        tau=TauInterval(tau, tau),
         defects=defect_values,
         detectors=Detectors(sharp, sharp, sharp, sharp),
         quasipositive_verdict=quasipositive_verdict(defect_values),
     )
+    return report, v
+
+
+def family_report(n: int) -> InvariantReport:
+    """Full invariant report of the n-th family knot.
+
+    The word pipeline runs with the family's certified inputs: the genus
+    of its four-ball surface and its propagated tau.  Every closed-form
+    identity the family satisfies is then checked on the finished report,
+    together with the twist-chain signature and the Seifert-route
+    Alexander polynomial of the pipeline's own Seifert matrix.
+    """
+    w = family_word(n)
+    name = f"K{n}"
+    if n in FAMILY_TABLE_NAMES:
+        name = f"K{n} ({FAMILY_TABLE_NAMES[n]})"
+    report, v = _pipeline(
+        w,
+        name,
+        assume_minimal_index=True,
+        four_ball_genus=family_four_ball_surface(n).genus,
+        tau=family_tau(n),
+    )
+    sl, sigma, s, g4 = report.self_linking, report.signature, report.s, report.g4
+    _check(sl == -2 * n - 1, "self-linking = -2n-1")
+    _check(sigma == 2 * n, "signature = 2n")
+    _check(
+        quadform.signature(twist_chain_matrix(2 * n - 1)) == sigma,
+        "twist-chain matrix signature agrees with the algorithmic surface",
+    )
+    _check(
+        alexander_from_seifert([list(row) for row in v]) == report.alexander,
+        "Seifert and Burau routes give one Alexander polynomial",
+    )
+    _check(g4 == G4Bounds(n, n), "four-ball genus = n")
+    _check(s is not None and s.value == -2 * n, "s = -2n")
+    _check(report.tau == TauInterval(-n, -n), "tau = -n")
+    _check(
+        report.defects == Defects(Fraction(2 * n), Fraction(0), Fraction(0)),
+        "defects = (2n, 0, 0)",
+    )
+    _check(
+        sl <= s.value - 1 <= 2 * g4.upper - 1 <= 2 * report.g3_upper - 1,
+        "self-linking chain",
+    )
+    _check(report.detectors.psi_nonzero, "transverse detectors fire")
+    return report
 
 
 def _to_json(value):
@@ -370,52 +390,4 @@ def word_report(
     so they are only computed when the caller asserts the minimal braid
     index (or the diagram value is provably maximal for another reason).
     """
-    if closure_components(w) != 1:
-        raise ValueError("closure has more than one component")
-    e = exponent_sum(w)
-    data = seifert_matrix(w)
-    v = data.matrix
-    size = len(v)
-    sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-    sigma = quadform.signature(sym)
-    alex = burau_alexander(w)
-    determinant = abs(int(alex.eval_at(-1)))
-    g3_upper = data.genus
-    g4 = g4_bounds(sigma, g3_upper=g3_upper)
-
-    s_value: SValue | None = None
-    if w.strands == 3:
-        try:
-            s = s_invariant_type1(w, candidate_cap=candidate_cap, node_cap=node_cap)
-        except SearchBudgetExceeded:
-            s = None
-        if s is not None:
-            s_value = SValue(s, "type1-writhe")
-
-    sl_max = max_self_linking(w, assume_minimal_index)
-    defect_values = defects(
-        sl_max.value,
-        g4_exact=g4.upper if (assume_minimal_index and g4.lower == g4.upper) else None,
-        s=s_value.value if (assume_minimal_index and s_value) else None,
-        tau_exact=None,
-    )
-    sharp = s_value is not None and s_bound_sharp(w, s_value.value)
-    return InvariantReport(
-        name=name or format_braid(w),
-        word=format_braid(w),
-        strands=w.strands,
-        exponent_sum=e,
-        writhe=e,
-        self_linking=self_linking(w),
-        max_self_linking=sl_max,
-        signature=sigma,
-        alexander=alex,
-        determinant=determinant,
-        g3_upper=g3_upper,
-        g4=g4,
-        s=s_value,
-        tau=TauInterval(None, None),
-        defects=defect_values,
-        detectors=Detectors(sharp, sharp, sharp, sharp),
-        quasipositive_verdict=quasipositive_verdict(defect_values),
-    )
+    return _pipeline(w, name, assume_minimal_index, candidate_cap, node_cap)[0]

@@ -63,24 +63,31 @@ def test_exact_division():
 
 def test_determinant_against_cofactor_oracle():
     rng = random.Random(29)
-    for size in (2, 3, 4, 7, 8):
-        for _ in range(4):
-            mat = [
-                [
-                    LaurentPoly.from_dict(
-                        {
-                            rng.randint(-1, 1): rng.randint(-2, 2)
-                            for _ in range(rng.randint(0, 2))
-                        }
-                    )
-                    for _ in range(size)
-                ]
+    mats = [
+        [
+            [
+                LaurentPoly.from_dict(
+                    {
+                        rng.randint(-1, 1): rng.randint(-2, 2)
+                        for _ in range(rng.randint(0, 2))
+                    }
+                )
                 for _ in range(size)
             ]
-            expected = cofactor_laurent_det(
-                [[entry.as_dict() for entry in row] for row in mat]
-            )
-            assert laurent_det(mat).as_dict() == expected
+            for _ in range(size)
+        ]
+        for size in range(1, 9)
+        for _ in range(4)
+    ]
+    zero, a, b = LaurentPoly(()), T - ONE, LaurentPoly.from_dict({-1: 2, 1: 3})
+    mats.append([[zero, a, b], [b, ONE, a], [a, T, zero]])  # zero (0,0): row swap
+    mats.append([[a, b, T], [T * a, T * b, T * T], [ONE, a, zero]])  # singular
+    for mat in mats:
+        expected = cofactor_laurent_det(
+            [[entry.as_dict() for entry in row] for row in mat]
+        )
+        assert laurent_det(mat).as_dict() == expected
+    assert laurent_det(mats[-1]).is_zero()
 
 
 def test_alexander_from_seifert_anchor():

@@ -1,10 +1,12 @@
 """Braid word parsing, printing, and diagram-level invariants."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from bennequin.braid import (
+    MAX_LETTERS,
     BraidWord,
     ParseError,
     closure_components,
@@ -55,6 +57,20 @@ def test_parse_accepts_commas_and_plus_signs():
 def test_parse_errors_are_distinct(text, strands, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_braid(text, strands)
+
+
+def test_parse_letter_limit():
+    assert len(parse_braid(f"1^{MAX_LETTERS}", strands=2)) == MAX_LETTERS
+    with pytest.raises(ParseError, match="letter limit"):
+        parse_braid(f"-1 1^{MAX_LETTERS}", strands=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="letter limit"):
+            parse_braid("1^1000000000", strands=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # rejected before any expansion
 
 
 def test_print_parse_round_trip():

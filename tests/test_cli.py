@@ -119,10 +119,12 @@ def test_signature_matrix_file(tmp_path, capsys):
 
 def test_signature_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("2\n1 2\n")
-    code, _, err = run_cli(capsys, "signature", str(path))
-    assert code == 2
-    assert "error:" in err
+    for text in ("2\n1 2\n", "-1\n5\n"):  # too few entries; negative size
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "signature", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 def test_signature_missing_file(capsys):

@@ -15,36 +15,35 @@ from bennequin.report import (
     defects,
     family_report,
     g4_bounds,
-    max_self_linking,
     quasipositive_verdict,
     report_csv_row,
     report_from_dict,
     report_to_dict,
     word_report,
 )
-from bennequin.seifert import BandPresentation, family_four_ball_surface
+from bennequin.seifert import family_four_ball_surface
 from bennequin.tau import TauInterval
 
 
 def test_max_self_linking_flag():
-    assert max_self_linking(family_word(2), True) == MaxSelfLinking(-5, True)
-    assert max_self_linking(BraidWord(1, ()), True) == MaxSelfLinking(-1, True)
-    assert max_self_linking(BraidWord(2, (1, -1)), False) == MaxSelfLinking(-2, False)
+    assert family_report(2).max_self_linking == MaxSelfLinking(-5, True)
+    unknot = word_report(BraidWord(1, ()), assume_minimal_index=True)
+    assert unknot.max_self_linking == MaxSelfLinking(-1, True)
+    stabilized = word_report(BraidWord(4, (1, -2, 3)))  # unknot, SL not maximal
+    assert stabilized.max_self_linking == MaxSelfLinking(-3, False)
 
 
 def test_g4_bounds_pinned_by_surface():
     for n in (1, 2, 7, 100):
-        bounds = g4_bounds(2 * n, family_four_ball_surface(n))
+        bounds = g4_bounds(2 * n, family_four_ball_surface(n).genus)
         assert bounds == G4Bounds(n, n)
 
 
 def test_g4_bounds_unknot_and_fallback():
-    assert g4_bounds(0, BandPresentation(1, 0)) == G4Bounds(0, 0)
-    assert g4_bounds(2, g3_upper=4) == G4Bounds(1, 4)
+    assert g4_bounds(0, 0) == G4Bounds(0, 0)
+    assert g4_bounds(2, 4) == G4Bounds(1, 4)  # a Seifert genus as the upper bound
     with pytest.raises(ValueError, match="inconsistent"):
-        g4_bounds(6, BandPresentation(1, 0))
-    with pytest.raises(ValueError):
-        g4_bounds(2)
+        g4_bounds(6, 0)
 
 
 def test_defects_family_values():
