@@ -267,9 +267,3 @@ def burau_alexander(w: BraidWord) -> LaurentPoly:
     # Delta(t) = det(I - B) * (1 - t) / (1 - t^n); the quotient is exact.
     cyclotomic_sum = LaurentPoly.from_dict({e: 1 for e in range(n)})
     return normalize(exact_div(det, cyclotomic_sum))
-
-
-def knot_determinant(w: BraidWord) -> int:
-    """|Delta(-1)| of a knot closure, always an odd positive integer."""
-    value = burau_alexander(w).eval_at(-1)
-    return abs(int(value))

@@ -12,6 +12,10 @@ a braid to maximal infimum and minimal canonical length, and the set of
 such conjugates is finite, closed under the conjugations by simple
 elements that preserve (inf, sup), and connected under them, so a breadth
 first search decides membership and produces an explicit conjugator.
+Each input word is normalised once.  Every conjugate after that, by a
+cycling step or by a simple element of the search, is normalised on its
+factor tuple (``_conjugate_nf``), never by spelling the form back as a
+word.
 
 Permutation braids are encoded as image tuples on 0-based positions; the
 composition convention is "apply left factor first", matching how braid
@@ -173,22 +177,6 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     return GarsideNormalForm(n, power, normalized)
 
 
-def normal_form_word(nf: GarsideNormalForm) -> BraidWord:
-    """Spell a normal form back as a braid word."""
-    n = nf.strands
-    letters: list[int] = []
-    if n > 1:
-        delta_letters = _perm_letters(_half_twist(n))
-        if nf.power >= 0:
-            letters.extend(delta_letters * nf.power)
-        else:
-            undo = tuple(-k for k in reversed(delta_letters))
-            letters.extend(undo * (-nf.power))
-    for factor in nf.factors:
-        letters.extend(_perm_letters(factor))
-    return BraidWord(n, tuple(letters))
-
-
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Equality in the braid group, decided by normal forms."""
     if w1.strands != w2.strands:
@@ -196,14 +184,29 @@ def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
     return normal_form(w1) == normal_form(w2)
 
 
+def _conjugate_nf(nf: GarsideNormalForm, simple: Perm) -> GarsideNormalForm:
+    """Normal form of s^-1 * nf * s for a simple element s.
+
+    With the complement d = s^-1 Delta, s^-1 = d Delta^-1, so
+    s^-1 Delta^p x1..xk s = Delta^(p-1) tau^(p-1)(d) x1..xk s (Elrifai and
+    Morton, Quart. J. Math. 45 (1994)), and one left-weighting of that
+    factor list gives the conjugate's normal form.
+    """
+    n = nf.strands
+    complement = _mul(_inv(simple), _half_twist(n))
+    if (nf.power - 1) % 2:
+        complement = _tau(complement)
+    power, factors = _normalize_factors(
+        n, nf.power - 1, [complement, *nf.factors, simple]
+    )
+    return GarsideNormalForm(n, power, factors)
+
+
 def _cycle(nf: GarsideNormalForm) -> tuple[GarsideNormalForm, tuple[int, ...]]:
-    """Conjugate by the initial factor: Delta^p x1..xk -> Delta^p x2..xk x1'."""
+    """Conjugate by tau^p(x1): Delta^p x1..xk -> Delta^p x2..xk tau^p(x1)."""
     first = nf.factors[0]
     moved = _tau(first) if nf.power % 2 else first
-    power, factors = _normalize_factors(
-        nf.strands, nf.power, list(nf.factors[1:]) + [moved]
-    )
-    return GarsideNormalForm(nf.strands, power, factors), _perm_letters(moved)
+    return _conjugate_nf(nf, moved), _perm_letters(moved)
 
 
 def _decycle(nf: GarsideNormalForm) -> tuple[GarsideNormalForm, tuple[int, ...]]:
@@ -253,20 +256,6 @@ def _nontrivial_simples(n: int) -> list[Perm]:
     return [p for p in permutations(range(n)) if p != ident]
 
 
-def _conjugate_nf(
-    nf: GarsideNormalForm, simple: Perm
-) -> GarsideNormalForm:
-    """Normal form of s^-1 * nf * s for a simple element s."""
-    n = nf.strands
-    word = normal_form_word(nf)
-    s_letters = _perm_letters(simple)
-    conj = BraidWord(
-        n,
-        tuple(-k for k in reversed(s_letters)) + word.letters + s_letters,
-    )
-    return normal_form(conj)
-
-
 def conjugacy_decide(
     w1: BraidWord, w2: BraidWord, node_cap: int = 10**6
 ) -> ConjugacyCertificate | None:
@@ -280,11 +269,12 @@ def conjugacy_decide(
         raise ValueError("strand counts differ")
     if exponent_sum(w1) != exponent_sum(w2):
         return None
-    if words_equal(w1, w2):
+    nf1, nf2 = normal_form(w1), normal_form(w2)
+    if nf1 == nf2:
         return ConjugacyCertificate(BraidWord(w1.strands, ()))
 
-    summit1, path1 = _summit(normal_form(w1))
-    summit2, path2 = _summit(normal_form(w2))
+    summit1, path1 = _summit(nf1)
+    summit2, path2 = _summit(nf2)
     if (summit1.power, summit1.canonical_length) != (
         summit2.power,
         summit2.canonical_length,

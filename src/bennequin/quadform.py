@@ -15,7 +15,7 @@ rounding.  Two reductions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import BraidWord
@@ -28,19 +28,6 @@ class PivotError(ValueError):
 
 
 @dataclass(frozen=True)
-class ElementaryOp:
-    """A paired operation R_target += coeff * R_source, same on columns."""
-
-    target: int
-    source: int
-    coeff: Fraction
-
-    def __str__(self) -> str:
-        i, j, c = self.target + 1, self.source + 1, self.coeff
-        return f"R{i} <- R{i} + ({c})*R{j} (and C{i} <- C{i} + ({c})*C{j})"
-
-
-@dataclass(frozen=True)
 class CongruenceDiagnosis:
     """Result of diagonalizing a symmetric form by congruence."""
 
@@ -48,7 +35,6 @@ class CongruenceDiagnosis:
     signature: int
     nullity: int
     determinant: Fraction
-    transcript: tuple[ElementaryOp, ...] = field(default=())
 
 
 def _to_matrix(rows) -> Matrix:
@@ -68,7 +54,7 @@ def _check_symmetric(mat: Matrix) -> None:
                 raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
 
 
-def congruence_diagonalize(rows, keep_transcript: bool = False) -> CongruenceDiagnosis:
+def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     """Diagonalize a symmetric rational matrix by congruence.
 
     Pivots are taken in natural order.  A zero pivot with a nonzero
@@ -81,15 +67,12 @@ def congruence_diagonalize(rows, keep_transcript: bool = False) -> CongruenceDia
     mat = _to_matrix(rows)
     _check_symmetric(mat)
     size = len(mat)
-    ops: list[ElementaryOp] = []
 
     def add_row_col(target: int, source: int, coeff: Fraction) -> None:
         for j in range(size):
             mat[target][j] += coeff * mat[source][j]
         for i in range(size):
             mat[i][target] += coeff * mat[i][source]
-        if keep_transcript:
-            ops.append(ElementaryOp(target, source, coeff))
 
     for k in range(size):
         if mat[k][k] == 0:
@@ -126,7 +109,6 @@ def congruence_diagonalize(rows, keep_transcript: bool = False) -> CongruenceDia
         signature=positives - negatives,
         nullity=size - positives - negatives,
         determinant=det,
-        transcript=tuple(ops),
     )
 
 

@@ -131,11 +131,6 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
     )
 
 
-def seifert_genus_upper(w: BraidWord) -> int:
-    """Genus of the algorithmic surface: an upper bound for the knot genus."""
-    return seifert_matrix(w).genus
-
-
 def family_four_ball_surface(n: int) -> BandPresentation:
     """Disk-band surface bounding the n-th family knot after pushing its
     ribbon intersections into the four-ball: 3 disks and 2n+2 bands."""

@@ -107,6 +107,36 @@ def word_cycle_count(letters, strands: int) -> int:
     return cycles
 
 
+# -- Garside normal forms ---------------------------------------------------
+
+
+def perm_letters(image) -> tuple[int, ...]:
+    """A positive word for a permutation braid, by bubble-sorting its image."""
+    img = list(image)
+    letters = []
+    while True:
+        descent = next((i for i in range(len(img) - 1) if img[i] > img[i + 1]), None)
+        if descent is None:
+            return tuple(letters)
+        letters.append(descent + 1)
+        img[descent], img[descent + 1] = img[descent + 1], img[descent]
+
+
+def normal_form_word(nf):
+    """Spell a Garside normal form back as a braid word, letter by letter."""
+    from bennequin.braid import BraidWord
+
+    n = nf.strands
+    delta = perm_letters(range(n - 1, -1, -1))
+    if nf.power >= 0:
+        letters = delta * nf.power
+    else:
+        letters = tuple(-k for k in reversed(delta)) * -nf.power
+    for factor in nf.factors:
+        letters += perm_letters(factor)
+    return BraidWord(n, letters)
+
+
 # -- corpora -----------------------------------------------------------------
 
 

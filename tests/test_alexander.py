@@ -11,13 +11,13 @@ from bennequin.alexander import (
     alexander_from_seifert,
     burau_alexander,
     exact_div,
-    knot_determinant,
     laurent_det,
     normalize,
     reduced_burau,
 )
 from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import gauss_pivots
+from bennequin.report import word_report
 from bennequin.seifert import seifert_matrix, twist_chain_matrix
 from oracles import cofactor_laurent_det, random_knot_words
 
@@ -157,10 +157,10 @@ def test_normalize_is_unit_invariant():
 
 
 def test_knot_determinants():
-    assert knot_determinant(BraidWord(2, (1, 1, 1))) == 3
-    assert knot_determinant(BraidWord(1, ())) == 1
+    assert word_report(BraidWord(2, (1, 1, 1))).determinant == 3
+    assert word_report(BraidWord(1, ())).determinant == 1
     pivot_product = Fraction(1)
     for pivot in gauss_pivots(twist_chain_matrix(1)):
         pivot_product *= pivot
     assert abs(pivot_product) == 11
-    assert knot_determinant(family_word(1)) == 11
+    assert word_report(family_word(1)).determinant == 11

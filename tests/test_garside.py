@@ -10,17 +10,21 @@ from bennequin.braid import (
     family_type1_word,
     family_word,
     free_reduce,
+    inverse_word,
 )
 from bennequin.garside import (
     SearchBudgetExceeded,
+    _conjugate_nf,
+    _cycle,
+    _decycle,
+    _nontrivial_simples,
     conjugacy_decide,
     normal_form,
-    normal_form_word,
     verify_certificate,
     words_equal,
 )
 from bennequin.rewrite import rewriting_equal
-from oracles import random_words
+from oracles import normal_form_word, perm_letters, random_words
 
 
 def test_defining_relation():
@@ -56,6 +60,47 @@ def test_normal_form_idempotent():
     for w in random_words(rng, 60, strands=3, max_len=10):
         nf = normal_form(w)
         assert normal_form(normal_form_word(nf)) == nf
+
+
+def _spelled_conjugate(nf, letters):
+    """Normal form of c^-1 * nf * c, re-normalised from the spelled word."""
+    c = BraidWord(nf.strands, tuple(letters))
+    return normal_form(conjugate(normal_form_word(nf), inverse_word(c)))
+
+
+def _signed_variants(words):
+    """Each word as drawn, with only positive letters, with only inverse ones."""
+    for w in words:
+        yield w
+        yield BraidWord(w.strands, tuple(abs(k) for k in w.letters))
+        yield BraidWord(w.strands, tuple(-abs(k) for k in w.letters))
+
+
+def test_conjugate_nf_agrees_with_spelled_route():
+    # Delta powers of both signs and parities reach the tau twist of the
+    # complement; Delta itself is among the simples
+    rng = random.Random(71)
+    for strands, count, max_len in ((3, 6, 10), (4, 3, 8), (5, 2, 5)):
+        parities = set()
+        for w in _signed_variants(random_words(rng, count, strands, max_len)):
+            nf = normal_form(w)
+            parities.add(nf.power % 2)
+            for simple in _nontrivial_simples(strands):
+                expected = _spelled_conjugate(nf, perm_letters(simple))
+                assert _conjugate_nf(nf, simple) == expected, (w, simple)
+        assert parities == {0, 1}
+
+
+def test_cycling_and_decycling_conjugate_by_their_letters():
+    rng = random.Random(73)
+    for strands in (3, 4, 5):
+        for w in _signed_variants(random_words(rng, 10, strands, max_len=12)):
+            nf = normal_form(w)
+            if not nf.factors:
+                continue
+            for step in (_cycle, _decycle):
+                moved, letters = step(nf)
+                assert moved == _spelled_conjugate(nf, letters), (w, step)
 
 
 def test_central_full_twist():

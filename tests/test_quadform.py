@@ -148,30 +148,6 @@ def test_jacobi_pivot_signs_reproduce_signature():
         checked += 1
 
 
-def test_transcript_replays_to_diagonal():
-    mat = twist_chain_matrix(2)
-    diag = congruence_diagonalize(mat, keep_transcript=True)
-    assert diag.transcript  # non-empty for a non-diagonal input
-    size = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    for op in diag.transcript:
-        for j in range(size):
-            work[op.target][j] += op.coeff * work[op.source][j]
-        for i in range(size):
-            work[i][op.target] += op.coeff * work[i][op.source]
-    for i in range(size):
-        for j in range(size):
-            expected = diag.diagonal[i] if i == j else 0
-            assert work[i][j] == expected
-    assert congruence_diagonalize(mat).transcript == ()
-
-
-def test_transcript_ops_print_readably():
-    diag = congruence_diagonalize([[0, 1], [1, 0]], keep_transcript=True)
-    text = str(diag.transcript[0])
-    assert "R1" in text and "C1" in text
-
-
 def test_knot_signature_anchors():
     assert knot_signature(BraidWord(2, (1, 1, 1))) == -2
     assert knot_signature(family_word(1)) == 2

@@ -13,7 +13,6 @@ from bennequin.seifert import (
     NotAKnotError,
     family_four_ball_surface,
     reduced_surface_seifert_matrix,
-    seifert_genus_upper,
     seifert_matrix,
     twist_chain_matrix,
 )
@@ -100,9 +99,9 @@ def test_alexander_agrees_with_burau_route():
 
 
 def test_genus_upper_bounds():
-    assert seifert_genus_upper(family_word(1)) == 4
-    assert seifert_genus_upper(TREFOIL) == 1
-    assert seifert_genus_upper(BraidWord(2, (1,))) == 0
+    assert seifert_matrix(family_word(1)).genus == 4
+    assert seifert_matrix(TREFOIL).genus == 1
+    assert seifert_matrix(BraidWord(2, (1,))).genus == 0
 
 
 def test_band_presentations():
