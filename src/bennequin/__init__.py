@@ -6,13 +6,11 @@ from .braid import (
     closure_components,
     closure_permutation,
     conjugate,
-    cyclic_shift,
     exponent_sum,
     family_type1_word,
     family_word,
     format_braid,
     free_reduce,
-    mirror,
     parse_braid,
     self_linking,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "congruence_diagonalize",
     "conjugacy_decide",
     "conjugate",
-    "cyclic_shift",
     "defects",
     "det_exact",
     "exponent_sum",
@@ -83,7 +80,6 @@ __all__ = [
     "free_reduce",
     "gauss_pivots",
     "knot_signature",
-    "mirror",
     "normal_form",
     "nullity",
     "parse_braid",

@@ -1,9 +1,11 @@
 """Alexander polynomials of braid closures, two independent ways.
 
 :func:`burau_alexander` evaluates the reduced Burau representation and uses
-det(I - B(w)) * (1 - t) / (1 - t^n); :func:`alexander_from_seifert` uses the
-classical det(V - t V^T) of a Seifert matrix.  Both normalize to the same
-canonical representative, so they can cross-validate each other exactly.
+det(I - B(w)) * (1 - t) / (1 - t^n); it is the route every report takes.
+:func:`alexander_from_seifert` uses the classical det(V - t V^T) of a
+Seifert matrix and serves as its oracle in :mod:`bennequin.checks` and the
+tests.  Both normalize to the same canonical representative, so they can
+cross-validate each other exactly.
 
 Laurent polynomials are integer-coefficient maps exponent -> coefficient
 with finite support; all arithmetic is exact.

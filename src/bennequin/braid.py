@@ -168,14 +168,6 @@ def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
     return BraidWord(w.strands, c.letters + w.letters + inverse_word(c).letters)
 
 
-def cyclic_shift(w: BraidWord, k: int) -> BraidWord:
-    """Rotate the word left by k letters (a conjugation of the closure)."""
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
     out: list[int] = []
@@ -185,11 +177,6 @@ def free_reduce(w: BraidWord) -> BraidWord:
         else:
             out.append(k)
     return BraidWord(w.strands, tuple(out))
-
-
-def mirror(w: BraidWord) -> BraidWord:
-    """Negate every letter; the closure becomes the mirror-image link."""
-    return BraidWord(w.strands, tuple(-k for k in w.letters))
 
 
 def family_word(n: int) -> BraidWord:

@@ -196,7 +196,13 @@ def _defect_growth(max_n: int, *_) -> str:
         d = report.defects
         _expect((d.delta4, d.delta_s, d.delta_tau), (2 * n, 0, 0), f"defects of K{n}")
         _expect(report.quasipositive_verdict, "not_quasipositive", f"verdict on K{n}")
-    return f"defects (2n, 0, 0) and nonquasipositive for n=1..{top}"
+        v = seifert_matrix(family_word(n)).matrix
+        seifert_route = alexander_from_seifert([list(r) for r in v])
+        _expect(seifert_route, report.alexander, f"Seifert-route Alexander of K{n}")
+    return (
+        f"defects (2n, 0, 0), nonquasipositive and both Alexander routes agree"
+        f" for n=1..{top}"
+    )
 
 
 def _oracle_equivalence(max_n: int, seed: int, *_) -> str:

@@ -221,32 +221,30 @@ def _decycle(nf: GarsideNormalForm) -> tuple[GarsideNormalForm, tuple[int, ...]]
 
 
 def _summit(nf: GarsideNormalForm) -> tuple[GarsideNormalForm, list[int]]:
-    """Cycle/decycle to maximal infimum, then minimal canonical length."""
+    """Cycle/decycle to maximal infimum, then minimal canonical length.
+
+    Cycling and decycling never lower inf nor raise sup (Elrifai and
+    Morton, Quart. J. Math. 45 (1994)), so no form recurs once either has
+    moved: each walk stops at its first repeated form, and each pass that
+    does not end the loop shortens the form.  A step that breaks either
+    bound is a fault in the conjugation and raises, instead of walking on
+    for ever.
+    """
     conjugator: list[int] = []
     while True:
         start = (nf.power, nf.canonical_length)
-        seen: set[tuple[int, tuple[Perm, ...]]] = set()
-        while nf.factors:
-            key = (nf.power, nf.factors)
-            if key in seen:
-                break
-            seen.add(key)
-            nxt, letters = _cycle(nf)
-            conjugator.extend(letters)
-            if nxt.power > nf.power:
-                seen.clear()
-            nf = nxt
-        seen.clear()
-        while nf.factors:
-            key = (nf.power, nf.factors)
-            if key in seen:
-                break
-            seen.add(key)
-            nxt, letters = _decycle(nf)
-            conjugator.extend(letters)
-            if nxt.canonical_length < nf.canonical_length:
-                seen.clear()
-            nf = nxt
+        for step in (_cycle, _decycle):
+            seen: set[tuple[int, tuple[Perm, ...]]] = set()
+            while nf.factors and (nf.power, nf.factors) not in seen:
+                seen.add((nf.power, nf.factors))
+                nxt, letters = step(nf)
+                if nxt.power < nf.power or nxt.sup > nf.sup:
+                    raise RuntimeError(
+                        f"{step.__name__} moved (inf, sup) from"
+                        f" ({nf.power}, {nf.sup}) to ({nxt.power}, {nxt.sup})"
+                    )
+                conjugator.extend(letters)
+                nf = nxt
         if (nf.power, nf.canonical_length) == start:
             return nf, conjugator
 

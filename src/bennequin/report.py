@@ -7,12 +7,14 @@ For a knot K with maximal self-linking number SL, the three defects are
     delta_tau = (2*tau(K) - 1 - SL) / 2    (tau-Bennequin slack)
 
 all nonnegative, and all zero for quasipositive knots, so a positive
-defect certifies nonquasipositivity.  One pipeline builds every report:
-:func:`word_report` runs it on any knot-closure word, and
-:func:`family_report` runs it on the built-in family with the family's
-certified four-ball genus and tau, then cross-checks every closed-form
-identity (delta_4 = 2n while delta_s and delta_tau stay 0) before
-returning.
+defect certifies nonquasipositivity.  One pipeline builds every report,
+with one route per quantity: :func:`word_report` runs it on any
+knot-closure word, and :func:`family_report` runs it on the built-in
+family with the family's certified four-ball genus and tau, then checks
+every closed-form identity (delta_4 = 2n while delta_s and delta_tau stay
+0) before returning.  Second routes (the Seifert-route Alexander
+polynomial, the twist-chain signature) run only in
+:mod:`bennequin.checks` and the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import quadform
-from .alexander import (
-    LaurentPoly,
-    alexander_from_seifert,
-    burau_alexander,
-)
+from .alexander import LaurentPoly, burau_alexander
 from .braid import (
     BraidWord,
     closure_components,
@@ -38,11 +36,7 @@ from .braid import (
     self_linking,
 )
 from .garside import SearchBudgetExceeded
-from .seifert import (
-    family_four_ball_surface,
-    seifert_matrix,
-    twist_chain_matrix,
-)
+from .seifert import family_four_ball_surface, seifert_matrix
 from .tau import TauInterval, family_tau
 from .threebraid import s_bound_sharp, s_invariant_type1
 
@@ -184,13 +178,12 @@ def _pipeline(
     node_cap: int = 10**6,
     four_ball_genus: int | None = None,
     tau: int | None = None,
-) -> tuple[InvariantReport, tuple[tuple[int, ...], ...]]:
+) -> InvariantReport:
     """Report of a knot-closure word, each stage run once.
 
     ``four_ball_genus`` is the genus of a surface the knot bounds in the
     four-ball; without it the Seifert genus bounds g4 from above.  ``tau``
-    is a certified tau; without it tau stays unbounded.  Returns the report
-    and the Seifert matrix it was computed from.
+    is a certified tau; without it tau stays unbounded.
     """
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
@@ -224,7 +217,7 @@ def _pipeline(
         tau_exact=tau if assume_minimal_index else None,
     )
     sharp = s_value is not None and s_bound_sharp(w, s_value.value)
-    report = InvariantReport(
+    return InvariantReport(
         name=name or word,
         word=word,
         strands=w.strands,
@@ -243,7 +236,6 @@ def _pipeline(
         detectors=Detectors(sharp, sharp, sharp, sharp),
         quasipositive_verdict=quasipositive_verdict(defect_values),
     )
-    return report, v
 
 
 def family_report(n: int) -> InvariantReport:
@@ -251,32 +243,25 @@ def family_report(n: int) -> InvariantReport:
 
     The word pipeline runs with the family's certified inputs: the genus
     of its four-ball surface and its propagated tau.  Every closed-form
-    identity the family satisfies is then checked on the finished report,
-    together with the twist-chain signature and the Seifert-route
-    Alexander polynomial of the pipeline's own Seifert matrix.
+    identity the family satisfies is then checked on the finished report.
+    The second routes to its signature and Alexander polynomial (the
+    twist-chain matrices, det(V - tV^T)) run in ``bennequin verify`` and
+    the tests, not here.
     """
     w = family_word(n)
     name = f"K{n}"
     if n in FAMILY_TABLE_NAMES:
         name = f"K{n} ({FAMILY_TABLE_NAMES[n]})"
-    report, v = _pipeline(
+    report = _pipeline(
         w,
         name,
         assume_minimal_index=True,
         four_ball_genus=family_four_ball_surface(n).genus,
         tau=family_tau(n),
     )
-    sl, sigma, s, g4 = report.self_linking, report.signature, report.s, report.g4
+    sl, s, g4 = report.self_linking, report.s, report.g4
     _check(sl == -2 * n - 1, "self-linking = -2n-1")
-    _check(sigma == 2 * n, "signature = 2n")
-    _check(
-        quadform.signature(twist_chain_matrix(2 * n - 1)) == sigma,
-        "twist-chain matrix signature agrees with the algorithmic surface",
-    )
-    _check(
-        alexander_from_seifert([list(row) for row in v]) == report.alexander,
-        "Seifert and Burau routes give one Alexander polynomial",
-    )
+    _check(report.signature == 2 * n, "signature = 2n")
     _check(g4 == G4Bounds(n, n), "four-ball genus = n")
     _check(s is not None and s.value == -2 * n, "s = -2n")
     _check(report.tau == TauInterval(-n, -n), "tau = -n")
@@ -390,4 +375,4 @@ def word_report(
     so they are only computed when the caller asserts the minimal braid
     index (or the diagram value is provably maximal for another reason).
     """
-    return _pipeline(w, name, assume_minimal_index, candidate_cap, node_cap)[0]
+    return _pipeline(w, name, assume_minimal_index, candidate_cap, node_cap)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against raw lists/dicts rather
 than the package's own types, so an agreement test really compares two
-implementations.  The seeded corpora are not oracles: they come from
-:mod:`bennequin.checks`, so the tests and ``bennequin verify`` draw the
-same words and matrices from a seed.
+implementations.  The word moves (cyclic shift, mirror) build plain
+``BraidWord`` values; only tests use them.  The seeded corpora are not
+oracles: they come from :mod:`bennequin.checks`, so the tests and
+``bennequin verify`` draw the same words and matrices from a seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from bennequin.braid import BraidWord
 from bennequin.checks import (  # noqa: F401  (re-exported corpora)
     congruence_transform,
     random_knot_words,
@@ -82,6 +84,22 @@ def cofactor_laurent_det(matrix: list[list[dict]]) -> dict:
     return total
 
 
+# -- braid words -------------------------------------------------------------
+
+
+def cyclic_shift(w: BraidWord, k: int) -> BraidWord:
+    """Rotate the word left by k letters (a conjugation of the closure)."""
+    if not w.letters:
+        return w
+    k %= len(w.letters)
+    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
+
+
+def mirror(w: BraidWord) -> BraidWord:
+    """Negate every letter; the closure becomes the mirror-image link."""
+    return BraidWord(w.strands, tuple(-k for k in w.letters))
+
+
 # -- permutations ------------------------------------------------------------
 
 
@@ -124,8 +142,6 @@ def perm_letters(image) -> tuple[int, ...]:
 
 def normal_form_word(nf):
     """Spell a Garside normal form back as a braid word, letter by letter."""
-    from bennequin.braid import BraidWord
-
     n = nf.strands
     delta = perm_letters(range(n - 1, -1, -1))
     if nf.power >= 0:
@@ -141,8 +157,6 @@ def normal_form_word(nf):
 
 
 def random_words(rng: random.Random, count: int, strands: int, max_len: int):
-    from bennequin.braid import BraidWord
-
     words = []
     for _ in range(count):
         letters = tuple(

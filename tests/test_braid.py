@@ -12,18 +12,16 @@ from bennequin.braid import (
     closure_components,
     closure_permutation,
     conjugate,
-    cyclic_shift,
     exponent_sum,
     family_type1_word,
     family_word,
     format_braid,
     free_reduce,
     inverse_word,
-    mirror,
     parse_braid,
     self_linking,
 )
-from oracles import word_cycle_count, random_words
+from oracles import cyclic_shift, mirror, random_words, word_cycle_count
 
 
 def test_parse_caret_expansion():

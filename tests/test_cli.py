@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -119,12 +120,37 @@ def test_signature_matrix_file(tmp_path, capsys):
 
 def test_signature_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    for text in ("2\n1 2\n", "-1\n5\n"):  # too few entries; negative size
+    too_big = cli.MAX_MATRIX_SIZE + 1
+    for text, message in (
+        ("2\n1 2\n", "expected 4 entries"),
+        ("-1\n5\n", "got -1"),
+        (f"{too_big}\n1\n", f"got {too_big}"),  # the size is checked first
+    ):
         path.write_text(text)
         code, out, err = run_cli(capsys, "signature", str(path))
         assert code == 2
         assert out == ""
-        assert "error:" in err
+        assert err.startswith("error:") and message in err
+
+
+def test_signature_byte_cap(tmp_path, capsys):
+    path = tmp_path / "padded.txt"
+    form = "2\n0 1/2\n1/2 0\n"
+    path.write_text(form.ljust(cli.MAX_MATRIX_BYTES))
+    code, out, _ = run_cli(capsys, "signature", str(path))
+    assert code == 0
+    assert out.startswith("signature: 0\n")
+    path.write_text(form.ljust(8 * cli.MAX_MATRIX_BYTES))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "signature", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"exceeds {cli.MAX_MATRIX_BYTES} bytes" in err
+    assert peak < 2 * cli.MAX_MATRIX_BYTES  # the file was not read whole
 
 
 def test_signature_missing_file(capsys):

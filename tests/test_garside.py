@@ -1,8 +1,14 @@
 """Garside normal forms, the word problem, and conjugacy certificates."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from bennequin import garside
 
 from bennequin.braid import (
     BraidWord,
@@ -101,6 +107,42 @@ def test_cycling_and_decycling_conjugate_by_their_letters():
             for step in (_cycle, _decycle):
                 moved, letters = step(nf)
                 assert moved == _spelled_conjugate(nf, letters), (w, step)
+
+
+# _conjugate_nf with the parity of tau^(p-1) flipped.  Under this wrong
+# conjugation cycling drives sup up and inf down without end, so no form
+# ever repeats; the script runs in a subprocess so that a hang fails.
+BROKEN_CONJUGATION = """
+from bennequin import garside as g
+from bennequin.braid import family_word
+
+def broken(nf, simple):
+    complement = g._mul(g._inv(simple), g._half_twist(nf.strands))
+    if nf.power % 2:
+        complement = g._tau(complement)
+    power, factors = g._normalize_factors(
+        nf.strands, nf.power - 1, [complement, *nf.factors, simple]
+    )
+    return g.GarsideNormalForm(nf.strands, power, factors)
+
+g._conjugate_nf = broken
+g._summit(g.normal_form(family_word(1)))
+"""
+
+
+def test_summit_walk_raises_on_a_broken_conjugation():
+    src = str(Path(garside.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", BROKEN_CONJUGATION],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 1
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: _cycle moved (inf, sup) from"), last
 
 
 def test_central_full_twist():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bennequin.braid import BraidWord, conjugate, cyclic_shift, family_type1_word, family_word
+from bennequin.braid import BraidWord, conjugate, family_type1_word, family_word
 from bennequin.quadform import (
     PivotError,
     congruence_diagonalize,
@@ -18,6 +18,7 @@ from bennequin.quadform import (
 from bennequin.seifert import twist_chain_matrix
 from oracles import (
     congruence_transform,
+    cyclic_shift,
     det_fraction,
     float_signature,
     random_knot_words,

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from bennequin import checks
+from bennequin.alexander import LaurentPoly
 from bennequin.braid import BraidWord, family_word
+from bennequin.quadform import signature
 from bennequin.report import (
     CSV_HEADER,
     Defects,
@@ -21,7 +24,7 @@ from bennequin.report import (
     report_to_dict,
     word_report,
 )
-from bennequin.seifert import family_four_ball_surface
+from bennequin.seifert import family_four_ball_surface, twist_chain_matrix
 from bennequin.tau import TauInterval
 
 
@@ -111,8 +114,16 @@ def test_family_report_second_knot_label():
 
 
 def test_family_report_deep_signature_cross_check():
-    # the constructor itself re-derives sigma from both surfaces
-    assert family_report(10).signature == 20
+    # the algorithmic surface against the twist chain of the reduced surface
+    assert family_report(10).signature == signature(twist_chain_matrix(19)) == 20
+
+
+def test_defect_growth_check_compares_the_seifert_route(monkeypatch):
+    # family_report takes the Burau route only; the registry holds the oracle
+    wrong = LaurentPoly.constant(1)
+    monkeypatch.setattr(checks, "alexander_from_seifert", lambda v: wrong)
+    with pytest.raises(checks.CheckFailed, match="Seifert-route Alexander of K1"):
+        checks._defect_growth(1, checks.SEED, 10**5, 10**6)
 
 
 def test_identity_check_error_names_the_identity():

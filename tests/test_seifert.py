@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bennequin.alexander import alexander_from_seifert, burau_alexander
-from bennequin.braid import BraidWord, family_word, mirror
+from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import signature
 from bennequin.seifert import (
     BandPresentation,
@@ -16,7 +16,7 @@ from bennequin.seifert import (
     seifert_matrix,
     twist_chain_matrix,
 )
-from oracles import det_fraction, random_knot_words
+from oracles import det_fraction, mirror, random_knot_words
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 
