@@ -26,10 +26,7 @@ from .garside import (
 from .quadform import (
     CongruenceDiagnosis,
     congruence_diagonalize,
-    det_exact,
-    gauss_pivots,
     knot_signature,
-    nullity,
     signature,
 )
 from .report import InvariantReport, defects, family_report, quasipositive_verdict
@@ -69,7 +66,6 @@ __all__ = [
     "conjugacy_decide",
     "conjugate",
     "defects",
-    "det_exact",
     "exponent_sum",
     "family_four_ball_surface",
     "family_report",
@@ -78,10 +74,8 @@ __all__ = [
     "family_word",
     "format_braid",
     "free_reduce",
-    "gauss_pivots",
     "knot_signature",
     "normal_form",
-    "nullity",
     "parse_braid",
     "propagate",
     "quasipositive_verdict",

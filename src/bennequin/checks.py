@@ -122,19 +122,20 @@ def _self_linking(max_n: int, *_) -> str:
 
 def _twist_chain_pivots(*_) -> str:
     matrix = twist_chain_matrix(1)
-    expected = [Fraction(p) for p in ("-4", "-7/4", "8/7", "9/8", "10/9", "11/10")]
-    _expect(quadform.gauss_pivots(matrix), expected, "pivots of twist chain 1")
-    _expect(quadform.signature(matrix), 2, "signature of twist chain 1")
+    expected = tuple(Fraction(p) for p in ("-4", "-7/4", "8/7", "9/8", "10/9", "11/10"))
+    diag = quadform.congruence_diagonalize(matrix)
+    _expect(diag.diagonal, expected, "pivots of twist chain 1")
+    _expect(diag.signature, 2, "signature of twist chain 1")
     return "pivots -4, -7/4, 8/7, 9/8, 10/9, 11/10; signature 2"
 
 
 def _twist_chain_induction(max_n: int, *_) -> str:
     top = max(40, 2 * max_n - 1)
     for k in range(1, top + 1):
-        matrix = twist_chain_matrix(k)
-        _expect(quadform.signature(matrix), k + 1, f"signature of twist chain {k}")
-        last = quadform.gauss_pivots(matrix)[-1]
-        _expect(last, Fraction(k + 10, k + 9), f"last pivot of twist chain {k}")
+        diag = quadform.congruence_diagonalize(twist_chain_matrix(k))
+        _expect(diag.signature, k + 1, f"signature of twist chain {k}")
+        last = Fraction(k + 10, k + 9)
+        _expect(diag.diagonal[-1], last, f"last pivot of twist chain {k}")
     return f"signature k+1 and last pivot (k+10)/(k+9) for k=1..{top}"
 
 
@@ -216,13 +217,14 @@ def _oracle_equivalence(max_n: int, seed: int, *_) -> str:
         ]
         _expect(laurent_det(skew), LaurentPoly.constant(1), f"det(V - V^T) of {text}")
         sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-        _expect(quadform.signature(sym) % 2, 0, f"signature parity of {text}")
+        diag = quadform.congruence_diagonalize(sym)
+        _expect(diag.signature % 2, 0, f"signature parity of {text}")
         alex = burau_alexander(w)
         seifert_route = alexander_from_seifert([list(r) for r in v])
         _expect(seifert_route, alex, f"Alexander routes of {text}")
         determinant = abs(int(alex.eval_at(-1)))
         _expect(determinant % 2, 1, f"determinant parity of {text}")
-        _expect(abs(quadform.det_exact(sym)), determinant, f"det(V + V^T) of {text}")
+        _expect(abs(diag.determinant), determinant, f"det(V + V^T) of {text}")
     return "200 random knot closures: both Alexander routes agree"
 
 

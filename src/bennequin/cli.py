@@ -45,8 +45,9 @@ COMPUTATION_ERROR = 2
 VERIFICATION_FAILURE = 3
 
 # Largest matrix ``signature`` reads.  Exact diagonalization costs about
-# size**3: a dense 100x100 form with entries in -4..4 took 6 s on a 2-core
-# x86-64 host under CPython 3.11, a 50x50 one 0.8 s.
+# size**3 operations on integers that grow with the size: a dense 100x100
+# form with entries in -4..4 took 0.26 s, read and diagonalized, on a 2-core
+# x86-64 host under CPython 3.11, a 50x50 one 0.04 s.
 MAX_MATRIX_SIZE = 100
 # The most a matrix file may hold: the size line and MAX_MATRIX_SIZE**2
 # entries, each up to 31 characters and a separator.  Nothing past it is read.

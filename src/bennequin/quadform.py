@@ -1,30 +1,21 @@
 """Exact analysis of symmetric bilinear forms over the rationals.
 
-Everything here runs on ``fractions.Fraction``; there is no floating point,
-so signatures and determinants of integer forms are never at the mercy of
-rounding.  Two reductions are provided:
-
-- :func:`congruence_diagonalize` applies paired row/column operations
-  (a congruence), which is valid for every symmetric matrix and preserves
-  signature and nullity by Sylvester's law of inertia;
-- :func:`gauss_pivots` runs plain fraction-exact Gaussian elimination in
-  natural pivot order without swaps, whose pivot signs also determine the
-  signature when all leading principal minors are nonzero (Jacobi's
-  criterion).
+There is no floating point, so signatures and determinants are never at
+the mercy of rounding.  :func:`congruence_diagonalize` is the one
+reduction: a congruence in natural pivot order, which is valid for every
+symmetric matrix and preserves signature and nullity by Sylvester's law
+of inertia.  It runs fraction-free on integers (Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math.
+Comp. 22, 1968); only the reported diagonal is made of fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .braid import BraidWord
-
-Matrix = list[list[Fraction]]
-
-
-class PivotError(ValueError):
-    """Swap-free elimination hit a zero pivot it could not repair."""
 
 
 @dataclass(frozen=True)
@@ -37,68 +28,72 @@ class CongruenceDiagnosis:
     determinant: Fraction
 
 
-def _to_matrix(rows) -> Matrix:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    size = len(mat)
-    for row in mat:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    return mat
-
-
-def _check_symmetric(mat: Matrix) -> None:
-    size = len(mat)
+def _integer_form(rows) -> tuple[list[int], list[list[int]]]:
+    """Scale row and column i of a symmetric rational matrix by d_i, the
+    lcm of row i's denominators, giving ``(scale, integer matrix)``."""
+    # converted whole: row-by-row conversion made the process's RSS creep
+    # across many calls interleaved with other work (CPython 3.11, glibc)
+    rational = [[Fraction(x) for x in row] for row in rows]
+    size = len(rational)
+    if any(len(row) != size for row in rational):
+        raise ValueError("matrix must be square")
+    scale = [lcm(*(x.denominator for x in row)) for row in rational]
+    mat = [
+        [x.numerator * (di // x.denominator) * dj for x, dj in zip(row, scale)]
+        for row, di in zip(rational, scale)
+    ]
+    # d_i * d_j > 0, so the scaled matrix is symmetric where the input is
     for i in range(size):
         for j in range(i + 1, size):
             if mat[i][j] != mat[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
+    return scale, mat
 
 
 def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     """Diagonalize a symmetric rational matrix by congruence.
 
-    Pivots are taken in natural order.  A zero pivot with a nonzero
-    off-diagonal entry in its row is repaired by adding that row (and the
-    matching column) into the pivot row/column; the repair coefficient is
-    chosen so the new diagonal entry is nonzero, which is always possible
-    with c in {1, 2, 3}.  All operations are transvections, so the
-    determinant is preserved exactly, not just up to squares.
+    Row i and column i are first scaled by d_i, the lcm of row i's
+    denominators; a congruence by a positive diagonal matrix keeps the
+    signature and nullity, and gives an integer matrix M.  Pivots are then
+    taken in natural order by fraction-free elimination: ``block`` holds
+    ``prev`` times the trailing Schur complement, where ``prev`` is the last
+    nonzero pivot, and the update divides exactly.  The k-th diagonal entry
+    is the pivot of M over ``prev`` and over d_k squared.
+
+    A zero pivot with a nonzero entry in column j of its row is repaired by
+    adding c times row and column j into row and column k, with c in
+    {1, 2}: both are transvections, so the determinant is kept exactly.  A
+    zero row records 0 and leaves ``prev`` as it was.
     """
-    mat = _to_matrix(rows)
-    _check_symmetric(mat)
-    size = len(mat)
+    scale, block = _integer_form(rows)
+    ratios = []  # the k-th diagonal entry as (pivot, prev * d_k**2)
+    prev = 1
+    for dk in scale:
+        head = block[0]
+        if head[0] == 0:
+            j = next((j for j, x in enumerate(head) if x), None)
+            if j is not None:
+                # the new pivot is c*(c*M_jj + 2*M_kj) with M_kj != 0: when
+                # c = 1 gives 0, M_jj = -2*M_kj and c = 2 gives -4*M_kj
+                c = 1 if block[j][j] + 2 * head[j] else 2
+                head = block[0] = [a + c * b for a, b in zip(head, block[j])]
+                for row in block:
+                    row[0] += c * row[j]
+        pivot = head[0]
+        if pivot == 0:
+            ratios.append((0, 1))
+            block = [row[1:] for row in block[1:]]
+            continue
+        rest = head[1:]
+        block = [
+            [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], rest)]
+            for row in block[1:]
+        ]
+        ratios.append((pivot, prev * dk * dk))
+        prev = pivot
 
-    def add_row_col(target: int, source: int, coeff: Fraction) -> None:
-        for j in range(size):
-            mat[target][j] += coeff * mat[source][j]
-        for i in range(size):
-            mat[i][target] += coeff * mat[i][source]
-
-    for k in range(size):
-        if mat[k][k] == 0:
-            pivot_source = next(
-                (j for j in range(k + 1, size) if mat[k][j] != 0), None
-            )
-            if pivot_source is not None:
-                for c in (1, 2, 3):
-                    coeff = Fraction(c)
-                    new_diag = (
-                        mat[k][k]
-                        + coeff * coeff * mat[pivot_source][pivot_source]
-                        + 2 * coeff * mat[k][pivot_source]
-                    )
-                    if new_diag != 0:
-                        add_row_col(k, pivot_source, coeff)
-                        break
-                # c*c*S_pp + 2c*S_kp has at most one nonzero root in c
-                assert mat[k][k] != 0
-        if mat[k][k] == 0:
-            continue  # row (and column) k is entirely zero past this point
-        for i in range(k + 1, size):
-            if mat[i][k] != 0:
-                add_row_col(i, k, -mat[i][k] / mat[k][k])
-
-    diagonal = tuple(mat[k][k] for k in range(size))
+    diagonal = tuple(Fraction(p, q) for p, q in ratios)
     positives = sum(1 for d in diagonal if d > 0)
     negatives = sum(1 for d in diagonal if d < 0)
     det = Fraction(1)
@@ -107,44 +102,14 @@ def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     return CongruenceDiagnosis(
         diagonal=diagonal,
         signature=positives - negatives,
-        nullity=size - positives - negatives,
+        nullity=len(diagonal) - positives - negatives,
         determinant=det,
     )
-
-
-def gauss_pivots(rows) -> list[Fraction]:
-    """Pivots of swap-free fraction-exact Gaussian elimination.
-
-    Raises :class:`PivotError` when a zero pivot still has nonzero entries
-    below it, since clearing them would need a row swap.
-    """
-    mat = _to_matrix(rows)
-    _check_symmetric(mat)
-    size = len(mat)
-    for k in range(size):
-        if mat[k][k] == 0:
-            if any(mat[i][k] != 0 for i in range(k + 1, size)):
-                raise PivotError(f"zero pivot at position {k + 1} needs a row swap")
-            continue
-        for i in range(k + 1, size):
-            if mat[i][k] != 0:
-                factor = mat[i][k] / mat[k][k]
-                for j in range(size):
-                    mat[i][j] -= factor * mat[k][j]
-    return [mat[k][k] for k in range(size)]
 
 
 def signature(rows) -> int:
     """Count of positive minus negative eigenvalues of a symmetric form."""
     return congruence_diagonalize(rows).signature
-
-
-def nullity(rows) -> int:
-    return congruence_diagonalize(rows).nullity
-
-
-def det_exact(rows) -> Fraction:
-    return congruence_diagonalize(rows).determinant
 
 
 def knot_signature(w: BraidWord) -> int:

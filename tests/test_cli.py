@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from bennequin import checks, cli
 from bennequin.braid import BraidWord
 from bennequin.cli import run
 from bennequin.garside import ConjugacyCertificate
+from oracles import float_signature, random_symmetric
 
 # Exact CLI outputs, so any change to them is deliberate; verify rows omit
 # their timings.
@@ -151,6 +153,18 @@ def test_signature_byte_cap(tmp_path, capsys):
     assert out == ""
     assert f"exceeds {cli.MAX_MATRIX_BYTES} bytes" in err
     assert peak < 2 * cli.MAX_MATRIX_BYTES  # the file was not read whole
+
+
+def test_signature_dense_form_at_the_size_cap(tmp_path, capsys):
+    mat = random_symmetric(random.Random(100), cli.MAX_MATRIX_SIZE)
+    reference = float_signature(mat)
+    assert reference is not None  # well conditioned, so the float count is right
+    path = tmp_path / "dense.txt"
+    rows = "\n".join(" ".join(map(str, row)) for row in mat)
+    path.write_text(f"{cli.MAX_MATRIX_SIZE}\n{rows}\n")
+    code, out, _ = run_cli(capsys, "signature", str(path))
+    assert code == 0
+    assert out.startswith(f"signature: {reference}\nnullity: 0\n")
 
 
 def test_signature_missing_file(capsys):

@@ -1,4 +1,4 @@
-"""Exact congruence diagonalization, Gaussian pivots, and knot signatures."""
+"""Exact congruence diagonalization, its pivots, and knot signatures."""
 
 import random
 from fractions import Fraction
@@ -6,15 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bennequin.braid import BraidWord, conjugate, family_type1_word, family_word
-from bennequin.quadform import (
-    PivotError,
-    congruence_diagonalize,
-    det_exact,
-    gauss_pivots,
-    knot_signature,
-    nullity,
-    signature,
-)
+from bennequin.quadform import congruence_diagonalize, knot_signature, signature
 from bennequin.seifert import twist_chain_matrix
 from oracles import (
     congruence_transform,
@@ -26,14 +18,14 @@ from oracles import (
     random_unimodular,
 )
 
-FIRST_PIVOTS = [
+FIRST_PIVOTS = (
     Fraction(-4),
     Fraction(-7, 4),
     Fraction(8, 7),
     Fraction(9, 8),
     Fraction(10, 9),
     Fraction(11, 10),
-]
+)
 
 
 def test_twist_chain_base_diagnosis():
@@ -44,12 +36,12 @@ def test_twist_chain_base_diagnosis():
 
 
 def test_twist_chain_base_pivots_exact():
-    assert gauss_pivots(twist_chain_matrix(1)) == FIRST_PIVOTS
+    assert congruence_diagonalize(twist_chain_matrix(1)).diagonal == FIRST_PIVOTS
 
 
 def test_twist_chain_last_pivot_pattern():
     for k in range(1, 31):
-        pivots = gauss_pivots(twist_chain_matrix(k))
+        pivots = congruence_diagonalize(twist_chain_matrix(k)).diagonal
         assert pivots[:6] == FIRST_PIVOTS
         assert pivots[-1] == Fraction(k + 10, k + 9)
 
@@ -68,13 +60,13 @@ def test_zero_matrix():
 
 
 def test_empty_matrix():
-    assert signature([]) == 0
-    assert nullity([]) == 0
-    assert det_exact([]) == 1
+    diag = congruence_diagonalize([])
+    assert diag.diagonal == ()
+    assert (diag.signature, diag.nullity, diag.determinant) == (0, 0, 1)
 
 
 def test_simple_diagonal():
-    assert gauss_pivots([[1, 0], [0, -1]]) == [Fraction(1), Fraction(-1)]
+    assert congruence_diagonalize([[1, 0], [0, -1]]).diagonal == (1, -1)
     assert signature([[1, 0], [0, -1]]) == 0
 
 
@@ -85,16 +77,9 @@ def test_zero_pivot_repair():
     assert diag.determinant == -1
 
 
-def test_gauss_pivots_refuses_swaps():
-    with pytest.raises(PivotError):
-        gauss_pivots([[0, 1], [1, 0]])
-
-
 def test_non_symmetric_rejected():
     with pytest.raises(ValueError, match="symmetric"):
         congruence_diagonalize([[0, 1], [2, 0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        gauss_pivots([[0, 1], [2, 0]])
 
 
 def test_non_square_rejected():
@@ -118,7 +103,7 @@ def test_determinant_matches_independent_elimination():
     for _ in range(40):
         size = rng.randint(1, 7)
         mat = random_symmetric(rng, size)
-        assert det_exact(mat) == det_fraction(mat)
+        assert congruence_diagonalize(mat).determinant == det_fraction(mat)
 
 
 def test_signature_matches_float_oracle():
@@ -134,18 +119,20 @@ def test_signature_matches_float_oracle():
 
 
 def test_jacobi_pivot_signs_reproduce_signature():
+    # with every leading principal minor D_k nonzero, the k-th pivot is
+    # D_k / D_(k-1) (Jacobi), and the pivot signs count the signature
     rng = random.Random(29)
     checked = 0
     while checked < 200:
         mat = random_symmetric(rng, rng.randint(1, 8))
-        try:
-            pivots = gauss_pivots(mat)
-        except PivotError:
+        size = len(mat)
+        minors = [det_fraction([row[:k] for row in mat[:k]]) for k in range(size + 1)]
+        if 0 in minors:
             continue
-        if any(p == 0 for p in pivots):
-            continue
-        from_pivots = sum(1 if p > 0 else -1 for p in pivots)
-        assert from_pivots == signature(mat)
+        pivots = tuple(b / a for a, b in zip(minors, minors[1:]))
+        diag = congruence_diagonalize(mat)
+        assert diag.diagonal == pivots
+        assert diag.signature == sum(1 if p > 0 else -1 for p in pivots)
         checked += 1
 
 
