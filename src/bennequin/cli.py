@@ -202,10 +202,29 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
 def _cmd_signature(args) -> int:
     matrix = _read_matrix(args.matrix_file)
     diag = quadform.congruence_diagonalize(matrix)
-    print(f"signature: {diag.signature}")
-    print(f"nullity: {diag.nullity}")
-    print(f"determinant: {diag.determinant}")
+    print(
+        f"signature: {diag.signature}\n"
+        f"nullity: {diag.nullity}\n"
+        f"determinant: {_unlimited_str(diag.determinant)}"
+    )
     return 0
+
+
+def _unlimited_str(value) -> str:
+    """``str(value)`` past the interpreter's digit limit for int conversion.
+
+    The matrix file caps already bound a determinant's size, but a valid file
+    can give it more digits than CPython (3.10.7 and later) converts by
+    default.  The limit is lifted for this one conversion, then restored.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit to lift
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_conj(args) -> int:

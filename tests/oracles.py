@@ -84,6 +84,53 @@ def cofactor_laurent_det(matrix: list[list[dict]]) -> dict:
     return total
 
 
+def burau_letter(strands: int, letter: int) -> list[list[dict]]:
+    """Reduced Burau matrix of one letter, entries as dict polynomials."""
+    dim = strands - 1
+    i = abs(letter)
+    mat = [[{0: 1} if r == c else {} for c in range(dim)] for r in range(dim)]
+    if letter > 0:
+        if i < dim:
+            mat[i - 1][i - 1] = {0: 1, 1: -1}
+            mat[i - 1][i] = {1: 1}
+            mat[i][i - 1] = {0: 1}
+            mat[i][i] = {}
+        else:  # i == n-1: the quotient by the fixed vector folds the last column
+            for row in range(dim - 1):
+                mat[row][dim - 1] = {0: -1}
+            mat[dim - 1][dim - 1] = {1: -1}
+    else:
+        if i < dim:
+            mat[i - 1][i - 1] = {}
+            mat[i - 1][i] = {0: 1}
+            mat[i][i - 1] = {-1: 1}
+            mat[i][i] = {0: 1, -1: -1}
+        else:
+            for row in range(dim):
+                mat[row][dim - 1] = {-1: -1}
+    return mat
+
+
+def poly_mat_mul(a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
+    """Plain matrix product over dict polynomials."""
+    size = len(a)
+    out = [[{} for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                out[i][j] = poly_add(out[i][j], poly_mul(a[i][k], b[k][j]))
+    return out
+
+
+def burau_product(w: BraidWord) -> list[list[dict]]:
+    """Reduced Burau matrix of a word as the product of its letter matrices."""
+    dim = w.strands - 1
+    result = [[{0: 1} if r == c else {} for c in range(dim)] for r in range(dim)]
+    for k in w.letters:
+        result = poly_mat_mul(result, burau_letter(w.strands, k))
+    return result
+
+
 # -- braid words -------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import congruence_diagonalize
 from bennequin.report import word_report
 from bennequin.seifert import seifert_matrix, twist_chain_matrix
-from oracles import cofactor_laurent_det, random_knot_words
+from oracles import burau_product, cofactor_laurent_det, random_knot_words, random_words
 
 T = LaurentPoly.monomial(1)
 T_INV = LaurentPoly.monomial(-1)
@@ -129,6 +129,22 @@ def test_burau_respects_braid_relation():
     assert reduced_burau(BraidWord(3, (1, 2, 1))) == reduced_burau(
         BraidWord(3, (2, 1, 2))
     )
+
+
+def test_reduced_burau_matches_the_letter_matrix_product():
+    rng = random.Random(61)
+    # one and two strands (dim 0 and 1): every letter there is the fold
+    words = [BraidWord(1, ()), BraidWord(2, ())] + random_words(rng, 8, 2, 12)
+    for strands in range(3, 8):
+        words.append(BraidWord(strands, ()))
+        for _ in range(3):  # the fold alone
+            last = strands - 1
+            letters = tuple(rng.choice((last, -last)) for _ in range(rng.randint(1, 12)))
+            words.append(BraidWord(strands, letters))
+        words += random_words(rng, 4, strands, 80)
+    for w in words:
+        burau = [[entry.as_dict() for entry in row] for row in reduced_burau(w)]
+        assert burau == burau_product(w), w
 
 
 def test_family_words_match_seifert_route():

@@ -167,6 +167,22 @@ def test_signature_dense_form_at_the_size_cap(tmp_path, capsys):
     assert out.startswith(f"signature: {reference}\nnullity: 0\n")
 
 
+def test_signature_prints_a_determinant_past_the_digit_limit(tmp_path, capsys):
+    # 10**4400 has more digits than the interpreter converts by default
+    size = cli.MAX_MATRIX_SIZE
+    entry = "1" + "0" * 44
+    rows = [" ".join(entry if i == j else "0" for j in range(size)) for i in range(size)]
+    path = tmp_path / "diagonal.txt"
+    path.write_text(f"{size}\n" + "\n".join(rows) + "\n")
+    # CPython before 3.10.7 has no digit limit, so there is none to restore
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run_cli(capsys, "signature", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"signature: {size}\nnullity: 0\ndeterminant: 1{'0' * 4400}\n"
+    assert get_limit() == limit
+
+
 def test_signature_missing_file(capsys):
     code, _, _ = run_cli(capsys, "signature", "/nonexistent/matrix.txt")
     assert code == 2
