@@ -5,7 +5,6 @@ from .braid import (
     ParseError,
     closure_components,
     closure_permutation,
-    conjugate,
     exponent_sum,
     family_type1_word,
     family_word,
@@ -27,7 +26,6 @@ from .quadform import (
     CongruenceDiagnosis,
     congruence_diagonalize,
     knot_signature,
-    signature,
 )
 from .report import InvariantReport, defects, family_report, quasipositive_verdict
 from .seifert import (
@@ -64,7 +62,6 @@ __all__ = [
     "closure_permutation",
     "congruence_diagonalize",
     "conjugacy_decide",
-    "conjugate",
     "defects",
     "exponent_sum",
     "family_four_ball_surface",
@@ -83,7 +80,6 @@ __all__ = [
     "s_invariant_type1",
     "seifert_matrix",
     "self_linking",
-    "signature",
     "torus_knot_tau",
     "twist_chain_matrix",
     "type1_recognize",

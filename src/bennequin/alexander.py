@@ -74,10 +74,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly(tuple([(e + k, c) for e, c in self.coeffs]))
 
-    def reverse(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly(tuple(sorted((-e, c) for e, c in self.coeffs)))
-
     def min_exp(self) -> int:
         return self.coeffs[0][0]
 

@@ -161,13 +161,6 @@ def inverse_word(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
 
 
-def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
-    """The word c * w * c^-1 (no simplification performed)."""
-    if w.strands != c.strands:
-        raise ValueError("strand counts differ")
-    return BraidWord(w.strands, c.letters + w.letters + inverse_word(c).letters)
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
     out: list[int] = []

@@ -1,8 +1,9 @@
 """The identity suite run by ``bennequin verify`` and the acceptance tests.
 
 :data:`CHECKS` is an ordered registry of ``(name, check)`` pairs.  A check
-is called as ``check(max_n, seed, candidate_cap, node_cap)``; family-indexed
-checks go up to ``max_n``, randomized ones draw their corpus from ``seed``.
+is called as ``check(max_n, seed)``; family-indexed checks go up to
+``max_n``, randomized ones draw their corpus from ``seed``.  The inputs are
+fixed, so every search runs with its package default budget.
 It returns a one-line detail when every identity holds and raises
 :class:`CheckFailed` naming the first one that does not.  Failures are
 explicit raises, so the suite checks the same identities under
@@ -33,7 +34,7 @@ from .garside import conjugacy_decide, verify_certificate, words_equal
 from .report import family_report, g4_bounds
 from .seifert import family_four_ball_surface, seifert_matrix, twist_chain_matrix
 from .tau import TauConstraintGraph, TauNode, family_tau, propagate
-from .threebraid import s_bound_sharp, s_invariant_type1, type1_recognize
+from .threebraid import s_bound_sharp, type1_recognize
 
 SEED = 20260810
 
@@ -112,7 +113,7 @@ def congruence_transform(mat, basis) -> list[list[int]]:
 # -- the checks ----------------------------------------------------------------
 
 
-def _self_linking(max_n: int, *_) -> str:
+def _self_linking(max_n: int, seed: int) -> str:
     for n in range(1, max_n + 1):
         w = family_word(n)
         _expect(self_linking(w), -2 * n - 1, f"self-linking of K{n}")
@@ -120,7 +121,7 @@ def _self_linking(max_n: int, *_) -> str:
     return f"sl = -2n-1 and knot closure for n=1..{max_n}"
 
 
-def _twist_chain_pivots(*_) -> str:
+def _twist_chain_pivots(max_n: int, seed: int) -> str:
     matrix = twist_chain_matrix(1)
     expected = tuple(Fraction(p) for p in ("-4", "-7/4", "8/7", "9/8", "10/9", "11/10"))
     diag = quadform.congruence_diagonalize(matrix)
@@ -129,7 +130,7 @@ def _twist_chain_pivots(*_) -> str:
     return "pivots -4, -7/4, 8/7, 9/8, 10/9, 11/10; signature 2"
 
 
-def _twist_chain_induction(max_n: int, *_) -> str:
+def _twist_chain_induction(max_n: int, seed: int) -> str:
     top = max(40, 2 * max_n - 1)
     for k in range(1, top + 1):
         diag = quadform.congruence_diagonalize(twist_chain_matrix(k))
@@ -139,14 +140,14 @@ def _twist_chain_induction(max_n: int, *_) -> str:
     return f"signature k+1 and last pivot (k+10)/(k+9) for k=1..{top}"
 
 
-def _algorithmic_signature(max_n: int, *_) -> str:
+def _algorithmic_signature(max_n: int, seed: int) -> str:
     top = min(max_n, 10)
     for n in range(1, top + 1):
         _expect(quadform.knot_signature(family_word(n)), 2 * n, f"signature of K{n}")
     return f"signature 2n from the algorithmic surface for n=1..{top}"
 
 
-def _four_ball_genus(max_n: int, *_) -> str:
+def _four_ball_genus(max_n: int, seed: int) -> str:
     for n in range(1, max_n + 1):
         surface = family_four_ball_surface(n)
         _expect(surface.euler_characteristic, 1 - 2 * n, f"Euler characteristic, K{n}")
@@ -155,11 +156,11 @@ def _four_ball_genus(max_n: int, *_) -> str:
     return f"four-ball genus pinned to n for n=1..{max_n}"
 
 
-def _conjugacy(max_n: int, seed: int, candidate_cap: int, node_cap: int) -> str:
+def _conjugacy(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
         w, u = family_word(n), family_type1_word(n)
-        cert = conjugacy_decide(w, u, node_cap=node_cap)
+        cert = conjugacy_decide(w, u)
         if cert is None:
             raise CheckFailed(f"K{n} not found conjugate to its Type-1 form")
         if not verify_certificate(w, u, cert.conjugator):
@@ -167,19 +168,17 @@ def _conjugacy(max_n: int, seed: int, candidate_cap: int, node_cap: int) -> str:
     return f"verified conjugators onto the Type-1 form for n=1..{top}"
 
 
-def _s_invariant(max_n: int, seed: int, candidate_cap: int, node_cap: int) -> str:
+def _s_invariant(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
-        w = family_word(n)
-        form = type1_recognize(w, candidate_cap=candidate_cap, node_cap=node_cap)
+        form = type1_recognize(family_word(n))
         found = None if form is None else (form.d, form.blocks)
         _expect(found, (1, ((1, 2 * n + 5),)), f"Type-1 form (d, blocks) of K{n}")
-        s = s_invariant_type1(w, candidate_cap, node_cap)
-        _expect(s, -2 * n, f"s of K{n}")
+        _expect(form.s_invariant, -2 * n, f"s of K{n}")
     return f"s = -2n via d=1, a1=2n+5 for n=1..{top}"
 
 
-def _tau(max_n: int, *_) -> str:
+def _tau(max_n: int, seed: int) -> str:
     for n in range(1, max_n + 1):
         _expect(family_tau(n), -n, f"tau of K{n}")
         partial = TauConstraintGraph(
@@ -190,7 +189,7 @@ def _tau(max_n: int, *_) -> str:
     return f"tau = -n with intermediate interval [-n, -n+1] for n=1..{max_n}"
 
 
-def _defect_growth(max_n: int, *_) -> str:
+def _defect_growth(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
         report = family_report(n)
@@ -206,7 +205,7 @@ def _defect_growth(max_n: int, *_) -> str:
     )
 
 
-def _oracle_equivalence(max_n: int, seed: int, *_) -> str:
+def _oracle_equivalence(max_n: int, seed: int) -> str:
     for w in random_knot_words(random.Random(seed), 200):
         text = f"{w.strands}-strand word {format_braid(w)}"
         v = seifert_matrix(w).matrix
@@ -228,7 +227,7 @@ def _oracle_equivalence(max_n: int, seed: int, *_) -> str:
     return "200 random knot closures: both Alexander routes agree"
 
 
-def _congruence_invariance(max_n: int, seed: int, *_) -> str:
+def _congruence_invariance(max_n: int, seed: int) -> str:
     rng = random.Random(seed + 1)
     for trial in range(100):
         size = rng.randint(1, 10)
@@ -244,7 +243,7 @@ def _congruence_invariance(max_n: int, seed: int, *_) -> str:
     return "signature and nullity invariant under 100 unimodular congruences"
 
 
-def _word_problem(max_n: int, seed: int, *_) -> str:
+def _word_problem(max_n: int, seed: int) -> str:
     rng = random.Random(seed + 2)
     for trial in range(100):
         letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
@@ -254,8 +253,9 @@ def _word_problem(max_n: int, seed: int, *_) -> str:
             w2 = BraidWord(3, other)
         else:
             current = letters
+            max_len = len(letters) + rewrite.EXTRA_LENGTH
             for _ in range(rng.randint(1, 3)):
-                neighbors = list(rewrite._neighbors(current, 3, len(letters) + 4))
+                neighbors = list(rewrite._neighbors(current, 3, max_len))
                 if not neighbors:
                     break
                 current = rng.choice(neighbors)
@@ -271,7 +271,7 @@ def _word_problem(max_n: int, seed: int, *_) -> str:
     return "normal forms agree with bounded rewriting on 100 pairs"
 
 
-def _detectors(max_n: int, *_) -> str:
+def _detectors(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
         sharp = s_bound_sharp(family_word(n), -2 * n)
@@ -296,12 +296,7 @@ CHECKS = (
 )
 
 
-def run_checks(
-    max_n: int,
-    seed: int = SEED,
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
-) -> list[CheckResult]:
+def run_checks(max_n: int, seed: int = SEED) -> list[CheckResult]:
     """Run every check in :data:`CHECKS` order; a failure is a result, not a crash."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -309,7 +304,7 @@ def run_checks(
     for name, check in CHECKS:
         start = time.perf_counter()
         try:
-            detail, passed = check(max_n, seed, candidate_cap, node_cap), True
+            detail, passed = check(max_n, seed), True
         except Exception as exc:
             detail, passed = f"{type(exc).__name__}: {exc}", False
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))

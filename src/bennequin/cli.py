@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import checks, quadform
 from .alexander import burau_alexander
 from .braid import ParseError, format_braid, parse_braid
-from .garside import conjugacy_decide, verify_certificate
+from .garside import NODE_CAP, conjugacy_decide, verify_certificate
 from .report import (
     CSV_HEADER,
     family_report,
@@ -39,6 +39,7 @@ from .report import (
 )
 from .seifert import seifert_matrix
 from .tau import graph_from_dict, intervals_to_dict, propagate
+from .threebraid import CANDIDATE_CAP
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -52,6 +53,14 @@ MAX_MATRIX_SIZE = 100
 # The most a matrix file may hold: the size line and MAX_MATRIX_SIZE**2
 # entries, each up to 31 characters and a separator.  Nothing past it is read.
 MAX_MATRIX_BYTES = 32 * (MAX_MATRIX_SIZE**2 + 1)
+# The most denominator bits a matrix file may hold, summed over its entries:
+# a denominator q > 1 counts q.bit_length() bits, an integer entry none.
+# Each row is scaled by the lcm of its denominators, and the integers of the
+# elimination carry those factors.  On the host above, one 256-bit
+# denominator at (1,1) of a dense 100x100 form took 1.1 s (2.9 s at 512
+# bits), the slowest shape measured; a 30x30 form with a distinct prime
+# denominator at every entry (9,421 bits) took 1.2 s, a 45x45 one 21.7 s.
+MAX_DENOMINATOR_BITS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the diagram self-linking as maximal (enables defects)",
     )
-    p.add_argument("--candidate-cap", type=_positive_int, default=10**5)
-    p.add_argument("--node-cap", type=_positive_int, default=10**6)
+    p.add_argument("--candidate-cap", type=_positive_int, default=CANDIDATE_CAP)
+    p.add_argument("--node-cap", type=_positive_int, default=NODE_CAP)
 
     p = sub.add_parser("seifert", help="Seifert matrix of a knot closure")
     add_word_options(p)
@@ -113,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--node-cap", type=_positive_int, default=10**6)
+    p.add_argument("--node-cap", type=_positive_int, default=NODE_CAP)
 
     p = sub.add_parser("tau", help="propagate a tau constraint graph")
     p.add_argument("graph_file", help="JSON: {nodes: [{name, tau?}], edges: [[a,b]]}")
@@ -126,8 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=checks.SEED)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--candidate-cap", type=_positive_int, default=10**5)
-    p.add_argument("--node-cap", type=_positive_int, default=10**6)
     return parser
 
 
@@ -196,6 +203,12 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
             f" found {len(entries)}"
         )
     values = [Fraction(tok) for tok in entries]
+    bits = sum(x.denominator.bit_length() for x in values if x.denominator != 1)
+    if bits > MAX_DENOMINATOR_BITS:
+        raise ValueError(
+            f"matrix denominators total {bits} bits,"
+            f" more than the limit of {MAX_DENOMINATOR_BITS}"
+        )
     return [values[i * size : (i + 1) * size] for i in range(size)]
 
 
@@ -259,12 +272,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = checks.run_checks(
-        args.max_n,
-        seed=args.seed,
-        candidate_cap=args.candidate_cap,
-        node_cap=args.node_cap,
-    )
+    results = checks.run_checks(args.max_n, seed=args.seed)
     if args.format == "json":
         rows = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
         print(json.dumps(rows))

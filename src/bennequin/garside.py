@@ -32,6 +32,9 @@ from .braid import BraidWord, concat, exponent_sum, free_reduce, inverse_word
 
 Perm = tuple[int, ...]
 
+# Default budget of the super summit search, in nodes expanded.
+NODE_CAP = 10**6
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Conjugacy orbit search hit its node cap before finishing."""
@@ -255,7 +258,7 @@ def _nontrivial_simples(n: int) -> list[Perm]:
 
 
 def conjugacy_decide(
-    w1: BraidWord, w2: BraidWord, node_cap: int = 10**6
+    w1: BraidWord, w2: BraidWord, node_cap: int = NODE_CAP
 ) -> ConjugacyCertificate | None:
     """Decide conjugacy; on success return c with w2 = c * w1 * c^-1.
 

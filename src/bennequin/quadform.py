@@ -112,11 +112,6 @@ def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     )
 
 
-def signature(rows) -> int:
-    """Count of positive minus negative eigenvalues of a symmetric form."""
-    return congruence_diagonalize(rows).signature
-
-
 def knot_signature(w: BraidWord) -> int:
     """Signature of the closure of w: signature of V + V^T for a Seifert
     matrix V of the algorithmic closed-braid surface."""
@@ -125,4 +120,4 @@ def knot_signature(w: BraidWord) -> int:
     v = seifert_matrix(w).matrix
     size = len(v)
     sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-    return signature(sym)
+    return congruence_diagonalize(sym).signature

@@ -35,10 +35,10 @@ from .braid import (
     format_braid,
     self_linking,
 )
-from .garside import SearchBudgetExceeded
+from .garside import NODE_CAP, SearchBudgetExceeded
 from .seifert import family_four_ball_surface, seifert_matrix
 from .tau import TauInterval, family_tau
-from .threebraid import s_bound_sharp, s_invariant_type1
+from .threebraid import CANDIDATE_CAP, s_bound_sharp, s_invariant_type1
 
 NOT_QUASIPOSITIVE = "not_quasipositive"
 UNKNOWN = "unknown"
@@ -174,8 +174,8 @@ def _pipeline(
     w: BraidWord,
     name: str,
     assume_minimal_index: bool,
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
+    candidate_cap: int = CANDIDATE_CAP,
+    node_cap: int = NODE_CAP,
     four_ball_genus: int | None = None,
     tau: int | None = None,
 ) -> InvariantReport:
@@ -193,7 +193,7 @@ def _pipeline(
     v = data.matrix
     size = len(v)
     sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-    sigma = quadform.signature(sym)
+    sigma = quadform.congruence_diagonalize(sym).signature
     alex = burau_alexander(w)
     determinant = abs(int(alex.eval_at(-1)))
     g3_upper = data.genus
@@ -363,9 +363,8 @@ def report_csv_row(report: InvariantReport, n: int | None = None) -> str:
 def word_report(
     w: BraidWord,
     assume_minimal_index: bool = False,
-    name: str = "",
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
+    candidate_cap: int = CANDIDATE_CAP,
+    node_cap: int = NODE_CAP,
 ) -> InvariantReport:
     """Best-effort report for an arbitrary knot-closure braid word.
 
@@ -375,4 +374,4 @@ def word_report(
     so they are only computed when the caller asserts the minimal braid
     index (or the diagram value is provably maximal for another reason).
     """
-    return _pipeline(w, name, assume_minimal_index, candidate_cap, node_cap)
+    return _pipeline(w, "", assume_minimal_index, candidate_cap, node_cap)

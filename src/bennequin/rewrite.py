@@ -15,6 +15,11 @@ from __future__ import annotations
 
 from .braid import BraidWord, closure_permutation, exponent_sum, free_reduce
 
+# Words up to this many letters longer than the longer input are searched.
+EXTRA_LENGTH = 4
+# The search gives up after this many distinct words.
+NODE_CAP = 400_000
+
 
 class RewriteBudgetExceeded(RuntimeError):
     """The bounded search hit its node cap before settling the question."""
@@ -44,18 +49,13 @@ def _neighbors(word: tuple[int, ...], strands: int, max_len: int):
                 yield word[:i] + (-g, g) + word[i:]
 
 
-def rewriting_equal(
-    w1: BraidWord,
-    w2: BraidWord,
-    extra_length: int = 4,
-    node_cap: int = 400_000,
-) -> bool:
+def rewriting_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Decide equality by bounded rewriting; independent of normal forms.
 
     The search considers words no longer than the longer input plus
-    ``extra_length``.  Raises :class:`RewriteBudgetExceeded` if the cap is
-    reached before either finding a rewriting path or exhausting the
-    bounded component of one side.
+    :data:`EXTRA_LENGTH`.  Raises :class:`RewriteBudgetExceeded` if
+    :data:`NODE_CAP` is reached before either finding a rewriting path or
+    exhausting the bounded component of one side.
     """
     if w1.strands != w2.strands:
         raise ValueError("strand counts differ")
@@ -69,7 +69,7 @@ def rewriting_equal(
         return True
 
     strands = w1.strands
-    max_len = max(len(a), len(b)) + extra_length
+    max_len = max(len(a), len(b)) + EXTRA_LENGTH
     sides: list[dict[tuple[int, ...], None]] = [{a: None}, {b: None}]
     frontiers: list[list[tuple[int, ...]]] = [[a], [b]]
     visited = 2
@@ -87,9 +87,9 @@ def rewriting_equal(
                 seen[nb] = None
                 next_frontier.append(nb)
                 visited += 1
-                if visited > node_cap:
+                if visited > NODE_CAP:
                     raise RewriteBudgetExceeded(
-                        f"rewriting search exceeded {node_cap} words"
+                        f"rewriting search exceeded {NODE_CAP} words"
                     )
         frontiers[side] = next_frontier
     # one side's bounded component is exhausted and never met the other

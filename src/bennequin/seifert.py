@@ -38,20 +38,16 @@ class DisconnectedSurfaceError(ValueError):
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Seifert matrix of the algorithmic closed-braid surface.
+    """Seifert matrix of the algorithmic closed-braid surface and its genus.
 
-    ``loop_labels[p]`` names basis loop p as (column, occurrence): the loop
-    between the occurrence-th and next letter in that generator column.
+    Row p of ``matrix`` is the basis loop between two consecutive letters
+    of one generator column, columns in increasing order and loops in word
+    order within a column.  The surface has one boundary circle, so its
+    genus is half the rank.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     genus: int
-    euler_characteristic: int
-    loop_labels: tuple[tuple[int, int], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -92,13 +88,11 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
         columns.setdefault(abs(k), []).append((pos, 1 if k > 0 else -1))
 
     loops: list[tuple[int, int, int, int, int]] = []  # col, start, end, sign, sign
-    labels: list[tuple[int, int]] = []
     for col in sorted(columns):
         occ = columns[col]
         for j in range(len(occ) - 1):
             (a, sa), (b, sb) = occ[j], occ[j + 1]
             loops.append((col, a, b, sa, sb))
-            labels.append((col, j + 1))
 
     rank = len(loops)
     mat = [[0] * rank for _ in range(rank)]
@@ -122,13 +116,7 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
                 elif c < a < d < b:
                     mat[q][p] = -1
 
-    genus = rank // 2
-    return SeifertData(
-        matrix=tuple(tuple(row) for row in mat),
-        genus=genus,
-        euler_characteristic=1 - 2 * genus,
-        loop_labels=tuple(labels),
-    )
+    return SeifertData(matrix=tuple(tuple(row) for row in mat), genus=rank // 2)
 
 
 def family_four_ball_surface(n: int) -> BandPresentation:

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components, exponent_sum
 from .garside import (
+    NODE_CAP,
     ConjugacyCertificate,
     SearchBudgetExceeded,
     conjugacy_decide,
 )
 
 FULL_TWIST = (1, 2, 1, 2, 1, 2)
+
+# Default budget of the Type-1 search, in candidate forms tested.
+CANDIDATE_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,17 @@ class Type1Form:
 
     def word(self) -> BraidWord:
         return type1_word(self.d, self.blocks)
+
+    @property
+    def s_invariant(self) -> int | None:
+        """Martin's rule: s = writhe - 2 when d > 0 and some a_i > 0, else None.
+
+        The writhe 6d + sum(b_i) - sum(a_i) is read off the form; every
+        conjugate word has the same exponent sum.
+        """
+        if self.d > 0 and any(a > 0 for _, a in self.blocks):
+            return 6 * self.d + sum(b - a for b, a in self.blocks) - 2
+        return None
 
 
 def type1_word(d: int, blocks) -> BraidWord:
@@ -81,8 +96,8 @@ def _weak_compositions(total: int, parts: int):
 
 def type1_recognize(
     w: BraidWord,
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
+    candidate_cap: int = CANDIDATE_CAP,
+    node_cap: int = NODE_CAP,
 ) -> Type1Form | None:
     """Search for a Type-1 normal form conjugate to w.
 
@@ -131,25 +146,21 @@ def type1_recognize(
 
 def s_invariant_type1(
     w: BraidWord,
-    candidate_cap: int = 10**5,
-    node_cap: int = 10**6,
+    candidate_cap: int = CANDIDATE_CAP,
+    node_cap: int = NODE_CAP,
 ) -> int | None:
     """Rasmussen invariant of the closure via Martin's Type-1 rule.
 
-    Applies only when recognition succeeds with d > 0 and some a_i > 0;
-    then s = writhe - 2 with the writhe read off as the exponent sum.
-    Returns None when the rule does not apply.
+    Applies only when recognition succeeds with d > 0 and some a_i > 0
+    (:attr:`Type1Form.s_invariant`).  Returns None when the rule does not
+    apply.
     """
     if w.strands != 3:
         raise ValueError("Type-1 recognition applies to 3-braids only")
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
     form = type1_recognize(w, candidate_cap=candidate_cap, node_cap=node_cap)
-    if form is None:
-        return None
-    if form.d > 0 and any(a > 0 for _, a in form.blocks):
-        return exponent_sum(w) - 2
-    return None
+    return None if form is None else form.s_invariant
 
 
 def s_bound_sharp(w: BraidWord, s: int) -> bool:

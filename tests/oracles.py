@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against raw lists/dicts rather
 than the package's own types, so an agreement test really compares two
-implementations.  The word moves (cyclic shift, mirror) build plain
-``BraidWord`` values; only tests use them.  The seeded corpora are not
+implementations.  The word moves (conjugation, cyclic shift, mirror) build
+plain ``BraidWord`` values; only tests use them.  The seeded corpora are not
 oracles: they come from :mod:`bennequin.checks`, so the tests and
 ``bennequin verify`` draw the same words and matrices from a seed.
 """
@@ -132,6 +132,14 @@ def burau_product(w: BraidWord) -> list[list[dict]]:
 
 
 # -- braid words -------------------------------------------------------------
+
+
+def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
+    """The word c * w * c^-1, unsimplified (a conjugation of the closure)."""
+    if w.strands != c.strands:
+        raise ValueError("strand counts differ")
+    inverse = tuple(-k for k in reversed(c.letters))
+    return BraidWord(w.strands, c.letters + w.letters + inverse)
 
 
 def cyclic_shift(w: BraidWord, k: int) -> BraidWord:

@@ -11,7 +11,6 @@ from bennequin.braid import (
     ParseError,
     closure_components,
     closure_permutation,
-    conjugate,
     exponent_sum,
     family_type1_word,
     family_word,
@@ -21,7 +20,7 @@ from bennequin.braid import (
     parse_braid,
     self_linking,
 )
-from oracles import cyclic_shift, mirror, random_words, word_cycle_count
+from oracles import conjugate, cyclic_shift, mirror, random_words, word_cycle_count
 
 
 def test_parse_caret_expansion():

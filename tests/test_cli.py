@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, file interfaces."""
 
+import argparse
 import json
 import os
 import random
@@ -167,6 +168,28 @@ def test_signature_dense_form_at_the_size_cap(tmp_path, capsys):
     assert out.startswith(f"signature: {reference}\nnullity: 0\n")
 
 
+def test_signature_denominator_bits_cap(tmp_path, capsys, monkeypatch):
+    cap = cli.MAX_DENOMINATOR_BITS
+    path = tmp_path / "rational.txt"
+    # a denominator q counts q.bit_length() bits, so 2**(cap - 1) is at the cap
+    path.write_text(f"2\n1/{2 ** (cap - 1)} 0\n0 1/1\n")
+    code, out, _ = run_cli(capsys, "signature", str(path))
+    assert code == 0
+    assert out.startswith("signature: 2\nnullity: 0\n")
+
+    def unreachable(rows):
+        raise AssertionError("an over-cap file reached the diagonalization")
+
+    monkeypatch.setattr(cli.quadform, "congruence_diagonalize", unreachable)
+    # one bit over, summed across entries: (cap - 3) + 2 + 2
+    path.write_text(f"2\n1/{2 ** (cap - 4)} 1/2\n1/2 1\n")
+    code, out, err = run_cli(capsys, "signature", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"total {cap + 1} bits, more than the limit of {cap}" in err
+
+
 def test_signature_prints_a_determinant_past_the_digit_limit(tmp_path, capsys):
     # 10**4400 has more digits than the interpreter converts by default
     size = cli.MAX_MATRIX_SIZE
@@ -291,7 +314,7 @@ def test_verify_usage_error(capsys):
     "argv",
     [
         ("verify", "--max-n", "-1"),
-        ("verify", "--max-n", "1", "--candidate-cap", "0"),
+        ("invariants", "1 1 1", "--strands", "2", "--candidate-cap", "0"),
         ("conj", "1", "1", "--strands", "2", "--node-cap", "-1"),
         ("invariants", "1 1 1", "--strands", "2", "--node-cap", "0"),
         ("invariants", "1 1 1", "--strands", "2", "--candidate-cap", "many"),
@@ -302,6 +325,15 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize("flag", ["--candidate-cap", "--node-cap"])
+def test_verify_takes_no_search_budget(capsys, flag):
+    # verify runs fixed inputs with the package's default budgets
+    code, out, err = run_cli(capsys, "verify", "--max-n", "1", flag, "5")
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
 
 
 def test_checks_fail_under_python_optimize():
@@ -327,3 +359,29 @@ def test_checks_fail_under_python_optimize():
     )
     passed = json.loads(done.stdout)
     assert [name for name, ok in passed.items() if not ok] == ["self-linking", "tau"]
+
+
+def _subcommands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block is valid for the parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("bennequin ")
+    ]
+    parser = cli._build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # a usage error raises SystemExit
+    assert sorted({argv[1] for argv in examples}) == sorted(_subcommands(parser))
+
+
+def test_module_docstring_lists_the_subcommands():
+    listing = cli.__doc__.split("Subcommands::", 1)[1].split("Exit codes", 1)[0]
+    names = [line.split()[0] for line in listing.splitlines() if line.strip()]
+    assert names == _subcommands(cli._build_parser())

@@ -12,7 +12,6 @@ from bennequin import garside
 
 from bennequin.braid import (
     BraidWord,
-    conjugate,
     family_type1_word,
     family_word,
     free_reduce,
@@ -30,7 +29,7 @@ from bennequin.garside import (
     words_equal,
 )
 from bennequin.rewrite import rewriting_equal
-from oracles import normal_form_word, perm_letters, random_words
+from oracles import conjugate, normal_form_word, perm_letters, random_words
 
 
 def test_defining_relation():

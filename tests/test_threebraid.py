@@ -6,19 +6,24 @@ import pytest
 
 from bennequin.braid import (
     BraidWord,
-    conjugate,
     exponent_sum,
     family_type1_word,
     family_word,
     free_reduce,
 )
-from bennequin.garside import SearchBudgetExceeded, verify_certificate
+from bennequin.garside import (
+    ConjugacyCertificate,
+    SearchBudgetExceeded,
+    verify_certificate,
+)
 from bennequin.threebraid import (
+    Type1Form,
     s_bound_sharp,
     s_invariant_type1,
     type1_recognize,
     type1_word,
 )
+from oracles import conjugate
 
 FULL_TWIST_WORD = BraidWord(3, (1, 2, 1, 2, 1, 2))
 
@@ -77,6 +82,19 @@ def test_candidate_cap_is_distinct_from_no_match():
 def test_s_invariant_family():
     for n in (1, 2, 3):
         assert s_invariant_type1(family_word(n)) == -2 * n
+
+
+def test_form_s_invariant_reads_the_writhe_off_the_form():
+    empty = ConjugacyCertificate(BraidWord(3, ()))
+    for d, blocks in (
+        (1, ((1, 7),)),
+        (2, ((3, 1), (1, 0))),
+        (1, ((2, 0), (1, 4), (5, 2))),
+    ):
+        form = Type1Form(d, blocks, empty)
+        assert form.s_invariant == exponent_sum(form.word()) - 2
+    # Martin's rule needs some a_i > 0
+    assert Type1Form(1, ((2, 0), (1, 0)), empty).s_invariant is None
 
 
 def test_s_invariant_unrecognized_word():
