@@ -61,6 +61,18 @@ MAX_MATRIX_BYTES = 32 * (MAX_MATRIX_SIZE**2 + 1)
 # bits), the slowest shape measured; a 30x30 form with a distinct prime
 # denominator at every entry (9,421 bits) took 1.2 s, a 45x45 one 21.7 s.
 MAX_DENOMINATOR_BITS = 256
+# The most integer work a matrix file may ask of the diagonalization, as
+# estimated by quadform.elimination_work: squared entry bits summed over the
+# updates that can be nonzero.  Entry bits alone bound nothing: one 4,096-bit
+# entry in a dense 100x100 form of -4..4 took 32 s, while the 100x100
+# diagonal of 10**44 (14,700 bits) takes 0.7 s.  On the host above the
+# slowest shapes at this cap took 1.2 to 2.0 s: one 680-bit entry at (1,1)
+# of a dense 100x100 form of -4..4, or one 341-bit pair at (1,2); dense
+# forms of 22-bit (100x100), 143-bit (50x50) and 508-bit (30x30) entries;
+# an arrow of 22-bit diagonal entries.  The dense form of 30-digit entries
+# estimates 3.7e12 (16.3 s), the diagonal of 10**44 2.0e11 and the dense
+# -4..4 form 1.7e10.
+MAX_ELIMINATION_WORK = 250 * 10**9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,7 +221,14 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
             f"matrix denominators total {bits} bits,"
             f" more than the limit of {MAX_DENOMINATOR_BITS}"
         )
-    return [values[i * size : (i + 1) * size] for i in range(size)]
+    rows = [values[i * size : (i + 1) * size] for i in range(size)]
+    work = quadform.elimination_work(rows)
+    if work > MAX_ELIMINATION_WORK:
+        raise ValueError(
+            f"matrix elimination is estimated at {work} squared bits,"
+            f" more than the limit of {MAX_ELIMINATION_WORK}"
+        )
+    return rows
 
 
 def _cmd_signature(args) -> int:

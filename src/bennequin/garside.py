@@ -17,6 +17,18 @@ cycling step or by a simple element of the search, is normalised on its
 factor tuple (``_conjugate_nf``), never by spelling the form back as a
 word.
 
+A product is left-weighted only where it changed (Epstein et al., *Word
+Processing in Groups*, ch. 9; Elrifai and Morton, Quart. J. Math. 45
+(1994)).  Multiplying a left-weighted list by a simple factor on the right
+is one backward sweep that stops at the first pair that does not change
+(``_times_simple``); on the left it is one forward sweep that stops there
+too, or as soon as the factor it carries becomes the identity
+(``_simple_times``).  ``normal_form`` builds by right multiplications, a
+conjugation by s multiplies by s on the right and by tau^(p-1)(s^-1 Delta)
+on the left, and decycling multiplies by the moved last factor on the
+left.  On the summits of the family K_n a cycling step thus takes two pair
+operations and a decycling step one, at every canonical length.
+
 Permutation braids are encoded as image tuples on 0-based positions; the
 composition convention is "apply left factor first", matching how braid
 words read.
@@ -133,20 +145,59 @@ def _left_weight_pair(n: int, x: Perm, y: Perm) -> tuple[Perm, Perm, bool]:
         changed = True
 
 
-def _normalize_factors(
-    n: int, power: int, factors: list[Perm]
+def _times_simple(n: int, work: list[Perm], simple: Perm) -> None:
+    """Right-multiply a left-weighted factor list by a simple element.
+
+    One backward sweep: append ``simple``, left-weight the last pair, then
+    the pair before it, and stop at the first pair that does not change.
+    Left-weighting a pair keeps the pair to its right left-weighted
+    (Epstein et al., *Word Processing in Groups*, ch. 9), and the pairs
+    left of the stop are untouched.  Identities collect at the end of the
+    list, where ``_strip`` drops them.
+    """
+    work.append(simple)
+    for i in range(len(work) - 2, -1, -1):
+        x, y, moved = _left_weight_pair(n, work[i], work[i + 1])
+        if not moved:
+            break
+        work[i], work[i + 1] = x, y
+
+
+def _simple_times(n: int, simple: Perm, work: list[Perm]) -> None:
+    """Left-multiply a left-weighted factor list by a simple element.
+
+    One forward sweep left-weights (r, y) for the carried factor r, the
+    simple at first, and each factor y in turn, writes the left part in
+    place of y and carries the right part on; each new pair it leaves
+    behind is left-weighted (Epstein et al., ch. 9).  It stops at the first
+    pair that does not change, or as soon as the carried part becomes the
+    identity, which is dropped: then the factor written is z = r y, and
+    F(z) contains F(y), which contains S of the next factor, so the new
+    neighbours are already left-weighted.  Without that stop the identity
+    left over by tau(d) x1 = Delta in a cycling step would bubble through
+    every factor.
+    """
+    ident = _identity_perm(n)
+    carry = simple
+    for i, y in enumerate(work):
+        if carry == ident:
+            return
+        x, rest, moved = _left_weight_pair(n, carry, y)
+        if not moved:
+            work.insert(i, carry)
+            return
+        work[i], carry = x, rest
+    if carry != ident:
+        work.append(carry)
+
+
+def _strip(
+    n: int, power: int, work: list[Perm]
 ) -> tuple[int, tuple[Perm, ...]]:
+    """Move the leading Delta factors of a left-weighted list into the power
+    and drop its trailing identities."""
     ident = _identity_perm(n)
     delta = _half_twist(n)
-    work = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            x, y, moved = _left_weight_pair(n, work[i], work[i + 1])
-            if moved:
-                work[i], work[i + 1] = x, y
-                changed = True
     lo = 0
     hi = len(work)
     while lo < hi and work[lo] == delta:
@@ -154,6 +205,16 @@ def _normalize_factors(
     while lo < hi and work[hi - 1] == ident:
         hi -= 1
     return power + lo, tuple(work[lo:hi])
+
+
+def _normalize_factors(
+    n: int, power: int, factors: list[Perm]
+) -> tuple[int, tuple[Perm, ...]]:
+    """Normal form of Delta^power times an arbitrary list of simples."""
+    work: list[Perm] = []
+    for factor in factors:
+        _times_simple(n, work, factor)
+    return _strip(n, power, work)
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -192,16 +253,18 @@ def _conjugate_nf(nf: GarsideNormalForm, simple: Perm) -> GarsideNormalForm:
 
     With the complement d = s^-1 Delta, s^-1 = d Delta^-1, so
     s^-1 Delta^p x1..xk s = Delta^(p-1) tau^(p-1)(d) x1..xk s (Elrifai and
-    Morton, Quart. J. Math. 45 (1994)), and one left-weighting of that
-    factor list gives the conjugate's normal form.
+    Morton, Quart. J. Math. 45 (1994)).  So x1..xk, already left-weighted,
+    is right-multiplied by s and then left-multiplied by tau^(p-1)(d), one
+    sweep each.
     """
     n = nf.strands
     complement = _mul(_inv(simple), _half_twist(n))
     if (nf.power - 1) % 2:
         complement = _tau(complement)
-    power, factors = _normalize_factors(
-        n, nf.power - 1, [complement, *nf.factors, simple]
-    )
+    work = list(nf.factors)
+    _times_simple(n, work, simple)
+    _simple_times(n, complement, work)
+    power, factors = _strip(n, nf.power - 1, work)
     return GarsideNormalForm(n, power, factors)
 
 
@@ -216,9 +279,9 @@ def _decycle(nf: GarsideNormalForm) -> tuple[GarsideNormalForm, tuple[int, ...]]
     """Conjugate by the inverse of the final factor, moving it to the front."""
     last = nf.factors[-1]
     moved = _tau(last) if nf.power % 2 else last
-    power, factors = _normalize_factors(
-        nf.strands, nf.power, [moved] + list(nf.factors[:-1])
-    )
+    work = list(nf.factors[:-1])
+    _simple_times(nf.strands, moved, work)
+    power, factors = _strip(nf.strands, nf.power, work)
     conj = tuple(-k for k in reversed(_perm_letters(last)))
     return GarsideNormalForm(nf.strands, power, factors), conj
 

@@ -11,6 +11,7 @@ Comp. 22, 1968); only the reported diagonal is made of fractions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -53,6 +54,58 @@ def _integer_form(rows) -> tuple[list[int], list[list[int]]]:
             if mat[i][j] != mat[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
     return scale, mat
+
+
+def elimination_work(rows) -> int:
+    """An upper estimate of the integer work of :func:`congruence_diagonalize`,
+    in squared bits summed over the entry updates that can be nonzero.
+
+    The scaled matrix is M = D A D with D = diag(d_i), so a minor of M is a
+    minor of the integer matrix D A times the d_j of its columns.  Row i
+    counts the bits of the largest entry of row i of D A and of d_i, plus 3
+    for the half of log2(size) that Hadamard's inequality adds per row and
+    for the pivot repairs.  After pivots 0..k every entry of the block is a
+    minor of M on rows and columns 0..k and one more, so it has at most the
+    bits of rows 0..k plus those of the largest row left.  An update can be
+    nonzero only within a connected component of the graph of M's nonzero
+    off-diagonal entries: neither elimination nor a pivot repair fills in
+    across components.  Each update costs about the square of its bits,
+    since CPython divides by schoolbook.
+    """
+    scale, mat = _integer_form(rows)
+    size = len(mat)
+    bits = [
+        max(abs(x // dj).bit_length() for x, dj in zip(row, scale))
+        + di.bit_length()
+        + 3
+        for row, di in zip(mat, scale)
+    ]
+    parent = list(range(size))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(size):
+        for j in range(i + 1, size):
+            if mat[i][j]:
+                parent[root(i)] = root(j)
+    component = [root(i) for i in range(size)]
+    left = Counter(component)  # members not yet eliminated, per component
+    updates = sum(m * m for m in left.values())
+    largest_after = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        largest_after[i] = max(largest_after[i + 1], bits[i])
+    work = done = 0
+    for k in range(size):
+        m = left[component[k]]
+        left[component[k]] = m - 1
+        updates -= 2 * m - 1  # now the sum of squares of members past k
+        done += bits[k]
+        work += updates * (done + largest_after[k + 1]) ** 2
+    return work
 
 
 def congruence_diagonalize(rows) -> CongruenceDiagnosis:

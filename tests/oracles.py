@@ -10,6 +10,7 @@ oracles: they come from :mod:`bennequin.checks`, so the tests and
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,39 @@ def det_fraction(rows) -> Fraction:
             for j in range(k, size):
                 mat[i][j] -= factor * mat[k][j]
     return det
+
+
+def measured_elimination_work(rows) -> int:
+    """Squared bits summed over the nonzero entries that the fraction-free
+    congruence of ``quadform`` computes, each step counted at its widest
+    entry: its elimination rerun on the scaled integer matrix."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    scale = [math.lcm(*(x.denominator for x in row)) for row in mat]
+    block = [
+        [int(x * di * dj) for x, dj in zip(row, scale)] for row, di in zip(mat, scale)
+    ]
+    work, prev = 0, 1
+    while block:
+        head = block[0]
+        if head[0] == 0:
+            j = next((j for j, x in enumerate(head) if x), None)
+            if j is not None:
+                c = 1 if block[j][j] + 2 * head[j] else 2
+                head = block[0] = [a + c * b for a, b in zip(head, block[j])]
+                for row in block:
+                    row[0] += c * row[j]
+        pivot = head[0]
+        if pivot == 0:
+            block = [row[1:] for row in block[1:]]
+            continue
+        block = [
+            [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], head[1:])]
+            for row in block[1:]
+        ]
+        entries = [x for row in block for x in row if x]
+        work += len(entries) * max((abs(x).bit_length() for x in entries), default=0) ** 2
+        prev = pivot
+    return work
 
 
 # -- naive Laurent polynomial arithmetic on plain dicts ---------------------
@@ -232,3 +266,106 @@ def float_signature(mat) -> int | None:
     if min(abs(eigenvalues)) < 1e-8:
         return None
     return int((eigenvalues > 0).sum() - (eigenvalues < 0).sum())
+
+
+# -- left-weighting, written without the garside module ----------------------
+
+
+def perm_inverse(image) -> tuple[int, ...]:
+    out = [0] * len(image)
+    for i, x in enumerate(image):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_descents(image) -> set[int]:
+    """Generators i (1-based) whose strands at positions i-1 and i cross:
+    the letters a positive word for the permutation braid can start with."""
+    return {i for i in range(1, len(image)) if image[i - 1] > image[i]}
+
+
+def normal_form_defects(nf) -> list[str]:
+    """Why a Garside normal form is not one; empty when it is.
+
+    Every factor must be a permutation other than the identity and the half
+    twist, and every consecutive pair (x, y) left-weighted: each letter a
+    word for y can start with is one a word for x can end with.
+    """
+    n = nf.strands
+    identity = tuple(range(n))
+    delta = identity[::-1]
+    defects = []
+    for i, factor in enumerate(nf.factors):
+        if sorted(factor) != list(identity):
+            defects.append(f"factor {i} is not a permutation of {n} points")
+        elif factor in (identity, delta):
+            defects.append(f"factor {i} is the identity or Delta")
+    for i, (x, y) in enumerate(zip(nf.factors, nf.factors[1:])):
+        if not perm_descents(y) <= perm_descents(perm_inverse(x)):
+            defects.append(f"factors {i} and {i + 1} are not left-weighted")
+    return defects
+
+
+def _left_weight_pair(n: int, x, y):
+    """Move starting letters of y onto the end of x until none can move."""
+    changed = False
+    while True:
+        movable = sorted(perm_descents(y) - perm_descents(perm_inverse(x)))
+        if not movable:
+            return x, y, changed
+        t = list(range(n))
+        i = movable[0]
+        t[i - 1], t[i] = i, i - 1
+        x = tuple(t[v] for v in x)
+        y = tuple(y[t[j]] for j in range(n))
+        changed = True
+
+
+def left_weight_factors(n: int, power: int, factors) -> tuple[int, tuple]:
+    """Normal form of Delta^power x1..xk for any simples x_i: left-weight
+    every consecutive pair, in full passes, until a pass changes nothing."""
+    work = list(factors)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            x, y, moved = _left_weight_pair(n, work[i], work[i + 1])
+            if moved:
+                work[i], work[i + 1] = x, y
+                changed = True
+    identity = tuple(range(n))
+    lo, hi = 0, len(work)
+    while lo < hi and work[lo] == identity[::-1]:
+        lo += 1
+    while lo < hi and work[hi - 1] == identity:
+        hi -= 1
+    return power + lo, tuple(work[lo:hi])
+
+
+def half_twist_conjugate(image, times: int = 1) -> tuple[int, ...]:
+    """Conjugate a permutation braid by the half twist ``times`` times."""
+    n = len(image)
+    for _ in range(times % 2):
+        image = tuple(n - 1 - image[n - 1 - i] for i in range(n))
+    return tuple(image)
+
+
+def word_factors(w) -> tuple[int, list]:
+    """Delta^p x1..xk equal to a word, before left-weighting.
+
+    sigma_i^-1 = Delta^-1 (Delta sigma_i^-1) with Delta sigma_i^-1 simple,
+    and each Delta^-1 moves to the front past the factors before it, each
+    of which it conjugates by the half twist.
+    """
+    n = w.strands
+    delta = tuple(range(n - 1, -1, -1))
+    factors, inverses = [], 0  # inverse letters right of the current one
+    for k in reversed(w.letters):
+        i = abs(k)
+        t = list(range(n))
+        t[i - 1], t[i] = i, i - 1
+        factor = tuple(t) if k > 0 else tuple(t[v] for v in delta)
+        factors.append(half_twist_conjugate(factor, inverses))
+        inverses += k < 0
+    factors.reverse()
+    return -inverses, factors

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, file interfaces."""
 
 import argparse
+import ast
 import json
 import os
 import random
@@ -8,11 +9,12 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 
-from bennequin import checks, cli
+from bennequin import checks, cli, quadform
 from bennequin.braid import BraidWord
 from bennequin.cli import run
 from bennequin.garside import ConjugacyCertificate
@@ -190,6 +192,67 @@ def test_signature_denominator_bits_cap(tmp_path, capsys, monkeypatch):
     assert f"total {cap + 1} bits, more than the limit of {cap}" in err
 
 
+def _unreachable_diagonalization(monkeypatch):
+    def unreachable(rows):
+        raise AssertionError("an over-cap file reached the diagonalization")
+
+    monkeypatch.setattr(cli.quadform, "congruence_diagonalize", unreachable)
+
+
+def _write_matrix(path, mat):
+    rows = "\n".join(" ".join(map(str, row)) for row in mat)
+    path.write_text(f"{len(mat)}\n{rows}\n")
+
+
+def test_signature_elimination_work_cap(tmp_path, capsys, monkeypatch):
+    cap = cli.MAX_ELIMINATION_WORK
+    size = cli.MAX_MATRIX_SIZE
+
+    def diagonal(last_bits):
+        # the 10**44 diagonal with its last entry widened to last_bits bits
+        entries = [10**44] * (size - 1) + [2 ** (last_bits - 1)]
+        return [[entries[i] if i == j else 0 for j in range(size)] for i in range(size)]
+
+    # the widest last entry within the cap; one bit more is over it
+    widths = range(148, 4000)
+    bits = widths[
+        bisect_right(widths, cap, key=lambda b: quadform.elimination_work(diagonal(b)))
+        - 1
+    ]
+    path = tmp_path / "diagonal.txt"
+    _write_matrix(path, diagonal(bits))
+    code, out, _ = run_cli(capsys, "signature", str(path))
+    assert code == 0
+    assert out.startswith(f"signature: {size}\nnullity: 0\n")
+
+    _unreachable_diagonalization(monkeypatch)
+    _write_matrix(path, diagonal(bits + 1))
+    code, out, err = run_cli(capsys, "signature", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"squared bits, more than the limit of {cap}" in err
+
+
+def test_signature_rejects_the_slow_dense_shapes(tmp_path, capsys, monkeypatch):
+    # each took 16 to 32 s to diagonalize on a 2-core x86-64 host
+    _unreachable_diagonalization(monkeypatch)
+    rng = random.Random(5)
+    size = cli.MAX_MATRIX_SIZE
+    thirty_digits = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            thirty_digits[i][j] = thirty_digits[j][i] = rng.randrange(10**29, 10**30)
+    one_wide_entry = random_symmetric(rng, size)
+    one_wide_entry[0][0] = 2**4095 + 1
+    for mat in (thirty_digits, one_wide_entry):
+        path = tmp_path / "dense.txt"
+        _write_matrix(path, mat)
+        code, out, err = run_cli(capsys, "signature", str(path))
+        assert (code, out) == (2, "")
+        assert f"more than the limit of {cli.MAX_ELIMINATION_WORK}" in err
+
+
 def test_signature_prints_a_determinant_past_the_digit_limit(tmp_path, capsys):
     # 10**4400 has more digits than the interpreter converts by default
     size = cli.MAX_MATRIX_SIZE
@@ -359,6 +422,19 @@ def test_checks_fail_under_python_optimize():
     )
     passed = json.loads(done.stdout)
     assert [name for name, ok in passed.items() if not ok] == ["self-linking", "tau"]
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so a check the package relies on must
+    # raise instead; the CI runs ``verify`` under -O as well
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _subcommands(parser) -> list[str]:

@@ -144,6 +144,31 @@ def test_summit_walk_raises_on_a_broken_conjugation():
     assert last.startswith("RuntimeError: _cycle moved (inf, sup) from"), last
 
 
+def test_cycling_steps_do_not_grow_with_the_canonical_length(monkeypatch):
+    # a cycling or decycling step left-weights only where the product
+    # changed, so its pair operations do not depend on the factor count
+    calls = []
+    pair = garside._left_weight_pair
+
+    def counted(*args):
+        calls.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(garside, "_left_weight_pair", counted)
+    counts = {}
+    for n, length in ((2, 10), (8, 22), (18, 42)):
+        summit, _ = garside._summit(normal_form(family_word(n)))
+        assert summit.canonical_length == length
+        for step in (_cycle, _decycle):
+            calls.clear()
+            step(summit)
+            counts[n, step.__name__] = len(calls)
+    assert counts == {
+        (n, name): counts[2, name] for n in (2, 8, 18) for name in ("_cycle", "_decycle")
+    }
+    assert counts[2, "_cycle"] + counts[2, "_decycle"] <= 4, counts
+
+
 def test_central_full_twist():
     # Delta^2 commutes with every word, checked through both product orders
     rng = random.Random(31)

@@ -10,8 +10,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bennequin.quadform import congruence_diagonalize
-from oracles import congruence_transform, det_fraction, random_unimodular
+from bennequin.quadform import congruence_diagonalize, elimination_work
+from oracles import (
+    congruence_transform,
+    det_fraction,
+    measured_elimination_work,
+    random_unimodular,
+)
 
 # fixed examples and no example database, so every run checks the same forms
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -54,3 +59,12 @@ def test_scaling_by_a_positive_rational(mat, q):
     b = congruence_diagonalize(scaled)
     assert (b.signature, b.nullity) == (a.signature, a.nullity)
     assert b.determinant == a.determinant / Fraction(q) ** len(mat)
+
+
+@PROPERTY
+@given(symmetric_forms(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_elimination_work_bounds_the_measured_work(mat, q, seed):
+    # unimodular congruences widen the entries, and 1/q adds denominators
+    moved = congruence_transform(mat, random_unimodular(random.Random(seed), len(mat)))
+    for rows in (mat, moved, [[Fraction(x, q) for x in row] for row in moved]):
+        assert measured_elimination_work(rows) <= elimination_work(rows)
