@@ -9,8 +9,11 @@ Seifert matrix and serves as its oracle in :mod:`bennequin.checks` and the
 tests.  Both normalize to the same canonical representative, so they can
 cross-validate each other exactly.
 
-Laurent polynomials are integer-coefficient maps exponent -> coefficient
-with finite support; all arithmetic is exact.
+The arithmetic runs on plain dicts ``{exponent: nonzero coefficient}``:
+the Burau column updates, the fraction-free determinant and exact division
+all stay exact on integers.  :class:`LaurentPoly` is the boundary type:
+the public functions convert to and from it once, so the number of them a
+call builds does not grow with the word's length.
 """
 
 from __future__ import annotations
@@ -35,40 +38,20 @@ class LaurentPoly:
     def constant(c: int) -> "LaurentPoly":
         return LaurentPoly.from_dict({0: c})
 
-    @staticmethod
-    def monomial(exponent: int, c: int = 1) -> "LaurentPoly":
-        return LaurentPoly.from_dict({exponent: c})
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = self.as_dict()
-        for e, c in other.coeffs:
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly.from_dict(out)
-
     # __neg__ and shift build their tuples from lists.  A tuple built from a
     # generator starts at a guessed length and is resized, so CPython takes
-    # it from one tuple freelist and returns it to another; the freelists of
-    # the final lengths fill to 2,000 tuples each (4.5 MB held after 560
-    # corpus words through reduced_burau, CPython 3.11).
+    # it from one tuple freelist and returns it to another; built in bulk,
+    # such tuples fill the freelists of their final lengths to 2,000 tuples
+    # each (4.5 MB held after 560 corpus words when the Burau product ran on
+    # LaurentPoly entries, CPython 3.11).
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple([(e, -c) for e, c in self.coeffs]))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(out)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -93,73 +76,85 @@ class LaurentPoly:
         return " ".join(f"{e}:{c}" for e, c in self.coeffs)
 
 
-ZERO = LaurentPoly(())
-ONE = LaurentPoly.constant(1)
-
-
-def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Divide Laurent polynomials, requiring the division to be exact."""
-    if den.is_zero():
+def _exact_div(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
+    """Quotient of two dict polynomials, requiring the division to be exact."""
+    if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return ZERO
-    rem = num.as_dict()
-    den_pairs = den.coeffs
-    lead_exp, lead_coeff = den_pairs[-1]
-    # an exact quotient has no exponent below this (t is a unit, so an
-    # inexact division would otherwise descend forever)
-    min_shift = num.min_exp() - den.min_exp()
-    quot: dict[int, int] = {}
-    while rem:
-        top = max(rem)
-        q, r = divmod(rem[top], lead_coeff)
-        shift = top - lead_exp
-        if r != 0 or shift < min_shift:
+    if not num:
+        return {}
+    lead_exp = max(den)
+    lead = den[lead_exp]
+    rest = [(e - lead_exp, c) for e, c in den.items() if e != lead_exp]
+    # an exact quotient has no exponent below min(num) - min(den) (t is a
+    # unit, so an inexact division would otherwise descend forever)
+    low = min(num) - min(den)
+    rem = dict(num)
+    quot = {}
+    for top in range(max(num), low + lead_exp - 1, -1):
+        c = rem.pop(top, 0)
+        if not c:
+            continue
+        q, r = divmod(c, lead)
+        if r:
             raise ValueError("polynomial division is not exact")
-        quot[shift] = quot.get(shift, 0) + q
-        for e, c in den_pairs:
-            e2 = e + shift
-            val = rem.get(e2, 0) - q * c
-            if val == 0:
-                rem.pop(e2, None)
-            else:
-                rem[e2] = val
-    return LaurentPoly.from_dict(quot)
+        quot[top - lead_exp] = q
+        for e, d in rest:
+            e += top
+            rem[e] = rem.get(e, 0) - q * d
+    if any(rem.values()):
+        raise ValueError("polynomial division is not exact")
+    return quot
 
 
-def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix of Laurent polynomials.
+def _det(mat: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a square matrix of dict polynomials, consumed in place.
 
     Fraction-free Bareiss elimination: every step divides exactly by the
     previous pivot, so all entries stay Laurent polynomials.  A zero pivot
     is replaced by swapping in a lower row; when none is left, the matrix
     is singular.
     """
+    size = len(mat)
+    if size == 0:
+        return {0: 1}
+    sign = 1
+    prev = {0: 1}
+    for k in range(size - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
+            if swap is None:
+                return {}
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        row_k = mat[k]
+        pivot = row_k[k].items()
+        for row in mat[k + 1 :]:
+            factor = row[k].items()
+            for j in range(k + 1, size):
+                num: dict[int, int] = {}
+                get = num.get
+                for e1, c1 in row[j].items():
+                    for e2, c2 in pivot:
+                        e = e1 + e2
+                        num[e] = get(e, 0) + c1 * c2
+                for e1, c1 in row_k[j].items():
+                    for e2, c2 in factor:
+                        e = e1 + e2
+                        num[e] = get(e, 0) - c1 * c2
+                num = {e: c for e, c in num.items() if c}
+                row[j] = num if k == 0 else _exact_div(num, prev)
+        prev = row_k[k]
+    det = mat[size - 1][size - 1]
+    return det if sign == 1 else {e: -c for e, c in det.items()}
+
+
+def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a square matrix of Laurent polynomials (Bareiss)."""
     size = len(matrix)
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-    if size == 0:
-        return ONE
-    mat = [row[:] for row in matrix]
-    sign = 1
-    prev = ONE
-    for k in range(size - 1):
-        if mat[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, size) if not mat[i][k].is_zero()), None
-            )
-            if swap is None:
-                return ZERO
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_div(num, prev)
-        prev = mat[k][k]
-    det = mat[size - 1][size - 1]
-    return det if sign == 1 else -det
+    return LaurentPoly.from_dict(_det([[p.as_dict() for p in row] for row in matrix]))
 
 
 def normalize(p: LaurentPoly) -> LaurentPoly:
@@ -172,9 +167,8 @@ def normalize(p: LaurentPoly) -> LaurentPoly:
     """
     if p.is_zero():
         return p
-    shift = -((p.min_exp() + p.max_exp()) // 2)
-    p = p.shift(shift)
-    at_one = p.eval_at(1)
+    p = p.shift(-((p.min_exp() + p.max_exp()) // 2))
+    at_one = sum(c for _, c in p.coeffs)
     if at_one != 0:
         return p if at_one > 0 else -p
     return p if p.coeffs[-1][1] > 0 else -p
@@ -186,21 +180,15 @@ def alexander_from_seifert(v: list[list[int]]) -> LaurentPoly:
     for row in v:
         if len(row) != size:
             raise ValueError("Seifert matrix must be square")
-    if size == 0:
-        return ONE
-    t = LaurentPoly.monomial(1)
     mat = [
-        [
-            LaurentPoly.constant(v[i][j]) - t * LaurentPoly.constant(v[j][i])
-            for j in range(size)
-        ]
+        [{e: c for e, c in ((0, v[i][j]), (1, -v[j][i])) if c} for j in range(size)]
         for i in range(size)
     ]
-    return normalize(laurent_det(mat))
+    return normalize(LaurentPoly.from_dict(_det(mat)))
 
 
-def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
-    """Reduced Burau matrix of a braid word, size (strands-1)^2.
+def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
+    """Columns of the reduced Burau matrix of w, entries as dict polynomials.
 
     The product is built left to right, each letter applied to the running
     matrix as a column update: sigma_i and its inverse rewrite only columns
@@ -208,24 +196,47 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
     one.  So it takes only additions, subtractions and shifts by t^{+-1}.
     """
     dim = w.strands - 1
-    cols = [[ONE if r == j else ZERO for r in range(dim)] for j in range(dim)]
+    cols = [[{0: 1} if r == j else {} for r in range(dim)] for j in range(dim)]
     for k in w.letters:
         i = abs(k)
         if i < dim:
-            a, b = cols[i - 1], cols[i]
-            if k > 0:  # a, b <- a(1 - t) + b, t a
-                ta = [x.shift(1) for x in a]
-                cols[i - 1] = [x - y + z for x, y, z in zip(a, ta, b)]
-                cols[i] = ta
-            else:  # a, b <- b / t, a + b(1 - 1/t)
-                b_t = [y.shift(-1) for y in b]
-                cols[i - 1] = b_t
-                cols[i] = [x + y - z for x, y, z in zip(a, b, b_t)]
-        elif k > 0:  # last <- -(sum of the other columns) - t last
-            cols[-1] = [-sum(row[:-1], row[-1].shift(1)) for row in zip(*cols)]
-        else:  # last <- -(sum of all columns) / t
-            cols[-1] = [-sum(row, ZERO).shift(-1) for row in zip(*cols)]
-    return [[col[r] for col in cols] for r in range(dim)]
+            # sigma_i:    a, b <- a + b - t a, t a
+            # sigma_i^-1: a, b <- b / t, a + b - b / t
+            s = 1 if k > 0 else -1
+            src, other = (cols[i - 1], cols[i]) if k > 0 else (cols[i], cols[i - 1])
+            moved, mixed = [], []
+            for x, y in zip(src, other):
+                out = y.copy()
+                for e, c in x.items():
+                    out[e] = out.get(e, 0) + c
+                    e += s
+                    out[e] = out.get(e, 0) - c
+                moved.append({e + s: c for e, c in x.items()})
+                mixed.append({e: c for e, c in out.items() if c})
+            cols[i - 1], cols[i] = (mixed, moved) if k > 0 else (moved, mixed)
+        else:
+            # sigma_{n-1}:    last <- -(sum of the others) - t last
+            # sigma_{n-1}^-1: last <- -(sum of all) / t
+            s, last_s = (0, 1) if k > 0 else (-1, -1)
+            new_last = []
+            for row in zip(*cols):
+                out: dict[int, int] = {}
+                for x in row[:-1]:
+                    for e, c in x.items():
+                        e += s
+                        out[e] = out.get(e, 0) - c
+                for e, c in row[-1].items():
+                    e += last_s
+                    out[e] = out.get(e, 0) - c
+                new_last.append({e: c for e, c in out.items() if c})
+            cols[-1] = new_last
+    return cols
+
+
+def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
+    """Reduced Burau matrix of a braid word, size (strands-1)^2."""
+    cols = _burau_columns(w)
+    return [[LaurentPoly.from_dict(col[r]) for col in cols] for r in range(len(cols))]
 
 
 def burau_alexander(w: BraidWord) -> LaurentPoly:
@@ -233,13 +244,12 @@ def burau_alexander(w: BraidWord) -> LaurentPoly:
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
     n = w.strands
-    dim = n - 1
-    burau = reduced_burau(w)
-    mat = [
-        [(ONE if i == j else ZERO) - burau[i][j] for j in range(dim)]
-        for i in range(dim)
-    ]
-    det = laurent_det(mat)
+    cols = _burau_columns(w)
+    mat = [[{e: -c for e, c in col[r].items()} for col in cols] for r in range(n - 1)]
+    for r, row in enumerate(mat):  # I - B
+        one = row[r].pop(0, 0) + 1
+        if one:
+            row[r][0] = one
     # Delta(t) = det(I - B) * (1 - t) / (1 - t^n); the quotient is exact.
-    cyclotomic_sum = LaurentPoly.from_dict({e: 1 for e in range(n)})
-    return normalize(exact_div(det, cyclotomic_sum))
+    delta = _exact_div(_det(mat), dict.fromkeys(range(n), 1))
+    return normalize(LaurentPoly.from_dict(delta))

@@ -61,6 +61,14 @@ MAX_MATRIX_BYTES = 32 * (MAX_MATRIX_SIZE**2 + 1)
 # bits), the slowest shape measured; a 30x30 form with a distinct prime
 # denominator at every entry (9,421 bits) took 1.2 s, a 45x45 one 21.7 s.
 MAX_DENOMINATOR_BITS = 256
+# The most digits one matrix entry may have: the digits written in it plus
+# the magnitude of its decimal exponent ("-12e3" counts 3 + 3 = 6), checked
+# before any entry is converted.  Without it "1e1000000000" would expand to
+# a 415 MB integer, and an entry of more than 4,300 digits would fail in
+# CPython 3.10.7 and later with advice meant for programs
+# (sys.set_int_max_str_digits), yet be read by older interpreters.  The
+# cap is that same 4,300, so every interpreter reads the same files.
+MAX_ENTRY_DIGITS = 4300
 # The most integer work a matrix file may ask of the diagonalization, as
 # estimated by quadform.elimination_work: squared entry bits summed over the
 # updates that can be nonzero.  Entry bits alone bound nothing: one 4,096-bit
@@ -214,6 +222,14 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
             f"expected {size * size} entries for a {size}x{size} matrix,"
             f" found {len(entries)}"
         )
+    for index, tok in enumerate(entries):
+        digits = _entry_digits(tok)
+        if digits > MAX_ENTRY_DIGITS:
+            row, col = divmod(index, size)
+            raise ValueError(
+                f"matrix entry ({row + 1},{col + 1}) has {digits} digits,"
+                f" more than the limit of {MAX_ENTRY_DIGITS}"
+            )
     values = [Fraction(tok) for tok in entries]
     bits = sum(x.denominator.bit_length() for x in values if x.denominator != 1)
     if bits > MAX_DENOMINATOR_BITS:
@@ -229,6 +245,18 @@ def _read_matrix(path: str) -> list[list[Fraction]]:
             f" more than the limit of {MAX_ELIMINATION_WORK}"
         )
     return rows
+
+
+def _entry_digits(tok: str) -> int:
+    """Digits written in a matrix entry plus the magnitude of its exponent."""
+    digits = sum(map(str.isdigit, tok))
+    _, e, exponent = tok.lower().partition("e")
+    if e and digits <= MAX_ENTRY_DIGITS:  # short enough for int() anywhere
+        try:
+            digits += abs(int(exponent))
+        except ValueError:
+            pass  # not a number; Fraction reports it
+    return digits
 
 
 def _cmd_signature(args) -> int:

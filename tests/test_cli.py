@@ -253,6 +253,41 @@ def test_signature_rejects_the_slow_dense_shapes(tmp_path, capsys, monkeypatch):
         assert f"more than the limit of {cli.MAX_ELIMINATION_WORK}" in err
 
 
+def test_signature_entry_digit_cap(tmp_path, capsys, monkeypatch):
+    cap = cli.MAX_ENTRY_DIGITS
+    path = tmp_path / "wide.txt"
+    path.write_text(f"1\n{'9' * cap}\n")  # at the cap
+    code, out, _ = run_cli(capsys, "signature", str(path))
+    assert code == 0
+    assert out == f"signature: 1\nnullity: 0\ndeterminant: {'9' * cap}\n"
+    # a denominator's digits count too; at the cap this entry passes the digit
+    # check and meets the denominator-bits cap
+    path.write_text(f"1\n1/{'3' * (cap - 1)}\n")
+    code, out, err = run_cli(capsys, "signature", str(path))
+    assert (code, out) == (2, "")
+    assert f"more than the limit of {cli.MAX_DENOMINATOR_BITS}" in err
+
+    def unreachable(tok):
+        raise AssertionError("an over-cap entry reached the conversion")
+
+    monkeypatch.setattr(cli, "Fraction", unreachable)
+    _unreachable_diagonalization(monkeypatch)
+    for entry, digits in (
+        ("-" + "9" * (cap + 1), cap + 1),  # one digit over
+        # a short entry, but a wide value; Fraction alone would read it, since
+        # it builds 10**cap without converting a digit string
+        (f"1e{cap}", 1 + len(str(cap)) + cap),
+        (f"1/{'3' * cap}", cap + 1),
+    ):
+        path.write_text(f"2\n0 0\n0 {entry}\n")
+        code, out, err = run_cli(capsys, "signature", str(path))
+        assert (code, out) == (2, ""), entry
+        assert err == (
+            f"error: matrix entry (2,2) has {digits} digits,"
+            f" more than the limit of {cap}\n"
+        )
+
+
 def test_signature_prints_a_determinant_past_the_digit_limit(tmp_path, capsys):
     # 10**4400 has more digits than the interpreter converts by default
     size = cli.MAX_MATRIX_SIZE
