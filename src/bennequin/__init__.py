@@ -35,13 +35,8 @@ from .seifert import (
     seifert_matrix,
     twist_chain_matrix,
 )
-from .tau import TauConstraintGraph, TauInterval, family_tau, propagate, torus_knot_tau
-from .threebraid import (
-    Type1Form,
-    s_bound_sharp,
-    s_invariant_type1,
-    type1_recognize,
-)
+from .tau import Interval, TauConstraintGraph, family_tau, propagate, torus_knot_tau
+from .threebraid import Type1Form, s_bound_sharp, type1_recognize
 
 __version__ = "0.1.0"
 
@@ -51,12 +46,12 @@ __all__ = [
     "CongruenceDiagnosis",
     "ConjugacyCertificate",
     "GarsideNormalForm",
+    "Interval",
     "InvariantReport",
     "ParseError",
     "SearchBudgetExceeded",
     "SeifertData",
     "TauConstraintGraph",
-    "TauInterval",
     "Type1Form",
     "closure_components",
     "closure_permutation",
@@ -77,7 +72,6 @@ __all__ = [
     "propagate",
     "quasipositive_verdict",
     "s_bound_sharp",
-    "s_invariant_type1",
     "seifert_matrix",
     "self_linking",
     "torus_knot_tau",

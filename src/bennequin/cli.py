@@ -38,7 +38,7 @@ from .report import (
     word_report,
 )
 from .seifert import seifert_matrix
-from .tau import graph_from_dict, intervals_to_dict, propagate
+from .tau import graph_from_dict, propagate
 from .threebraid import CANDIDATE_CAP
 
 USAGE_ERROR = 1
@@ -307,8 +307,8 @@ def _cmd_tau(args) -> int:
     with open(args.graph_file, encoding="utf-8") as handle:
         data = json.load(handle)
     graph = graph_from_dict(data)
-    intervals = propagate(graph)
-    print(json.dumps(intervals_to_dict(intervals), sort_keys=True))
+    intervals = {name: asdict(iv) for name, iv in propagate(graph).items()}
+    print(json.dumps(intervals, sort_keys=True))
     return 0
 
 

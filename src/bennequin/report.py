@@ -15,6 +15,12 @@ every closed-form identity (delta_4 = 2n while delta_s and delta_tau stay
 0) before returning.  Second routes (the Seifert-route Alexander
 polynomial, the twist-chain signature) run only in
 :mod:`bennequin.checks` and the tests.
+
+A report stores each fact once: the self-linking number only as
+``max_self_linking``, the writhe only as ``exponent_sum``, the bounds on
+g4 and tau as one :class:`~bennequin.tau.Interval` type, and the
+transverse detectors as the one ``s_bound_sharp`` field, which is None
+when s is unknown.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .braid import (
 )
 from .garside import NODE_CAP, SearchBudgetExceeded
 from .seifert import family_four_ball_surface, seifert_matrix
-from .tau import TauInterval, family_tau
-from .threebraid import CANDIDATE_CAP, s_bound_sharp, s_invariant_type1
+from .tau import Interval, family_tau
+from .threebraid import CANDIDATE_CAP, s_bound_sharp, type1_recognize
 
 NOT_QUASIPOSITIVE = "not_quasipositive"
 UNKNOWN = "unknown"
@@ -62,12 +68,6 @@ class MaxSelfLinking:
 
 
 @dataclass(frozen=True)
-class G4Bounds:
-    lower: int
-    upper: int
-
-
-@dataclass(frozen=True)
 class SValue:
     value: int
     method: str
@@ -81,37 +81,25 @@ class Defects:
 
 
 @dataclass(frozen=True)
-class Detectors:
-    """Transverse detectors; each is the s-bound sharpness of the diagram."""
-
-    psi_nonzero: bool
-    right_veering: bool
-    theta_nonzero: bool
-    contact_nonzero: bool
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     name: str
     word: str
     strands: int
     exponent_sum: int
-    writhe: int
-    self_linking: int
     max_self_linking: MaxSelfLinking
     signature: int
     alexander: LaurentPoly
     determinant: int
     g3_upper: int
-    g4: G4Bounds
+    g4: Interval
     s: SValue | None
-    tau: TauInterval
+    tau: Interval
     defects: Defects
-    detectors: Detectors
+    s_bound_sharp: bool | None
     quasipositive_verdict: str
 
 
-def g4_bounds(sigma: int, upper: int) -> G4Bounds:
+def g4_bounds(sigma: int, upper: int) -> Interval:
     """Four-ball genus bounds: |signature|/2 below, a surface genus above.
 
     ``upper`` is the genus of a surface the knot bounds, in the three-sphere
@@ -123,7 +111,7 @@ def g4_bounds(sigma: int, upper: int) -> G4Bounds:
         raise ValueError(
             f"inconsistent genus bounds: lower {lower} exceeds upper {upper}"
         )
-    return G4Bounds(lower, upper)
+    return Interval(lower, upper)
 
 
 def defects(
@@ -188,7 +176,6 @@ def _pipeline(
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
     word = format_braid(w)
-    e = exponent_sum(w)
     data = seifert_matrix(w)
     v = data.matrix
     size = len(v)
@@ -202,11 +189,11 @@ def _pipeline(
     s_value: SValue | None = None
     if w.strands == 3:
         try:
-            s = s_invariant_type1(w, candidate_cap=candidate_cap, node_cap=node_cap)
+            form = type1_recognize(w, candidate_cap=candidate_cap, node_cap=node_cap)
         except SearchBudgetExceeded:
-            s = None
-        if s is not None:
-            s_value = SValue(s, "type1-writhe")
+            form = None
+        if form is not None and form.s_invariant is not None:
+            s_value = SValue(form.s_invariant, "type1-writhe")
 
     sl = self_linking(w)
     # the diagram value is SL only under the minimal-index assumption
@@ -216,14 +203,11 @@ def _pipeline(
         s=s_value.value if (assume_minimal_index and s_value) else None,
         tau_exact=tau if assume_minimal_index else None,
     )
-    sharp = s_value is not None and s_bound_sharp(w, s_value.value)
     return InvariantReport(
         name=name or word,
         word=word,
         strands=w.strands,
-        exponent_sum=e,
-        writhe=e,
-        self_linking=sl,
+        exponent_sum=exponent_sum(w),
         max_self_linking=MaxSelfLinking(sl, assume_minimal_index),
         signature=sigma,
         alexander=alex,
@@ -231,9 +215,9 @@ def _pipeline(
         g3_upper=g3_upper,
         g4=g4,
         s=s_value,
-        tau=TauInterval(tau, tau),
+        tau=Interval(tau, tau),
         defects=defect_values,
-        detectors=Detectors(sharp, sharp, sharp, sharp),
+        s_bound_sharp=None if s_value is None else s_bound_sharp(w, s_value.value),
         quasipositive_verdict=quasipositive_verdict(defect_values),
     )
 
@@ -259,12 +243,12 @@ def family_report(n: int) -> InvariantReport:
         four_ball_genus=family_four_ball_surface(n).genus,
         tau=family_tau(n),
     )
-    sl, s, g4 = report.self_linking, report.s, report.g4
+    sl, s, g4 = report.max_self_linking.value, report.s, report.g4
     _check(sl == -2 * n - 1, "self-linking = -2n-1")
     _check(report.signature == 2 * n, "signature = 2n")
-    _check(g4 == G4Bounds(n, n), "four-ball genus = n")
+    _check(g4 == Interval(n, n), "four-ball genus = n")
     _check(s is not None and s.value == -2 * n, "s = -2n")
-    _check(report.tau == TauInterval(-n, -n), "tau = -n")
+    _check(report.tau == Interval(-n, -n), "tau = -n")
     _check(
         report.defects == Defects(Fraction(2 * n), Fraction(0), Fraction(0)),
         "defects = (2n, 0, 0)",
@@ -273,7 +257,7 @@ def family_report(n: int) -> InvariantReport:
         sl <= s.value - 1 <= 2 * g4.upper - 1 <= 2 * report.g3_upper - 1,
         "self-linking chain",
     )
-    _check(report.detectors.psi_nonzero, "transverse detectors fire")
+    _check(report.s_bound_sharp is True, "s-bound sharp")
     return report
 
 

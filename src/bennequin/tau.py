@@ -8,8 +8,9 @@ directions to a fixed point pins intervals for the unknown nodes.
 
 Nodes are symbolic names, not diagrams: the claim that an edge really is a
 single crossing change is supplied as data, the arithmetic consequences
-are what this module computes.  Interval endpoints are plain integers with
-None as an explicit infinity; there is no floating point.
+are what this module computes.  :class:`Interval` endpoints are plain
+integers with None as an explicit infinity; there is no floating point.
+Reports use the same type for the four-ball genus bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class PropagationContradiction(ValueError):
 
 
 @dataclass(frozen=True)
-class TauInterval:
+class Interval:
     """Integer interval; None endpoints mean unbounded."""
 
     lower: int | None
@@ -81,7 +82,7 @@ def _min_upper(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def propagate(graph: TauConstraintGraph) -> dict[str, TauInterval]:
+def propagate(graph: TauConstraintGraph) -> dict[str, Interval]:
     """Tighten intervals along all edges to a fixed point.
 
     Each edge a -> b yields tau(b) in [lower(a), upper(a) + 1] and
@@ -120,7 +121,7 @@ def propagate(graph: TauConstraintGraph) -> dict[str, TauInterval]:
         if not changed:
             break
     return {
-        node.name: TauInterval(lower[node.name], upper[node.name])
+        node.name: Interval(lower[node.name], upper[node.name])
         for node in graph.nodes
     }
 
@@ -199,10 +200,3 @@ def graph_from_dict(data: dict) -> TauConstraintGraph:
             raise ValueError(f"edge {edge!r} is not a pair of node names")
         edges.append(tuple(edge))
     return TauConstraintGraph(tuple(nodes), tuple(edges))
-
-
-def intervals_to_dict(intervals: dict[str, TauInterval]) -> dict:
-    return {
-        name: {"lower": iv.lower, "upper": iv.upper}
-        for name, iv in intervals.items()
-    }

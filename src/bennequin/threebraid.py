@@ -7,10 +7,12 @@ A 3-braid is of Type 1 (in the sense used here) when it is conjugate to
 with h = (sigma_1 sigma_2)^3 the full twist, d >= 1, every b_i >= 1 and
 every a_i >= 0.  For closures of such braids with d > 0 and some a_i > 0,
 Martin's theorem computes the Rasmussen invariant from the diagram:
-s = writhe - 2.  Sharpness of that bound (self-linking = s - 1) in turn
-forces Plamenevskaya's Khovanov class, right-veeringness, the knot Floer
-transverse class, and the contact class of the branched double cover to be
-nonzero; :func:`s_bound_sharp` tests that one sufficient condition.
+s = writhe - 2 (:attr:`Type1Form.s_invariant`).  Sharpness of the
+s-Bennequin bound (self-linking = s - 1) in turn forces Plamenevskaya's
+Khovanov class, right-veeringness, the knot Floer transverse class, and
+the contact class of the branched double cover to be nonzero;
+:func:`s_bound_sharp` tests that one sufficient condition, and a report
+states it as its one ``s_bound_sharp`` field.
 
 Recognition enumerates candidate normal forms whose exponent sum matches
 the input, bounded by the input length, and tests each with the Garside
@@ -142,25 +144,6 @@ def type1_recognize(
                         if cert is not None:
                             return Type1Form(d, blocks, cert)
     return None
-
-
-def s_invariant_type1(
-    w: BraidWord,
-    candidate_cap: int = CANDIDATE_CAP,
-    node_cap: int = NODE_CAP,
-) -> int | None:
-    """Rasmussen invariant of the closure via Martin's Type-1 rule.
-
-    Applies only when recognition succeeds with d > 0 and some a_i > 0
-    (:attr:`Type1Form.s_invariant`).  Returns None when the rule does not
-    apply.
-    """
-    if w.strands != 3:
-        raise ValueError("Type-1 recognition applies to 3-braids only")
-    if closure_components(w) != 1:
-        raise ValueError("closure has more than one component")
-    form = type1_recognize(w, candidate_cap=candidate_cap, node_cap=node_cap)
-    return None if form is None else form.s_invariant
 
 
 def s_bound_sharp(w: BraidWord, s: int) -> bool:

@@ -347,10 +347,7 @@ def test_tau_graph_file(tmp_path, capsys):
     path.write_text(json.dumps(graph))
     code, out, _ = run_cli(capsys, "tau", str(path))
     assert code == 0
-    assert json.loads(out) == {
-        "K": {"lower": -1, "upper": 0},
-        "P": {"lower": -1, "upper": -1},
-    }
+    assert out == '{"K": {"lower": -1, "upper": 0}, "P": {"lower": -1, "upper": -1}}\n'
 
 
 def test_tau_contradiction_exit(tmp_path, capsys):

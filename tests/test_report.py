@@ -13,7 +13,6 @@ from bennequin.quadform import congruence_diagonalize
 from bennequin.report import (
     CSV_HEADER,
     Defects,
-    G4Bounds,
     MaxSelfLinking,
     defects,
     family_report,
@@ -25,7 +24,7 @@ from bennequin.report import (
     word_report,
 )
 from bennequin.seifert import family_four_ball_surface, twist_chain_matrix
-from bennequin.tau import TauInterval
+from bennequin.tau import Interval
 
 
 def test_max_self_linking_flag():
@@ -39,12 +38,12 @@ def test_max_self_linking_flag():
 def test_g4_bounds_pinned_by_surface():
     for n in (1, 2, 7, 100):
         bounds = g4_bounds(2 * n, family_four_ball_surface(n).genus)
-        assert bounds == G4Bounds(n, n)
+        assert bounds == Interval(n, n)
 
 
 def test_g4_bounds_unknot_and_fallback():
-    assert g4_bounds(0, 0) == G4Bounds(0, 0)
-    assert g4_bounds(2, 4) == G4Bounds(1, 4)  # a Seifert genus as the upper bound
+    assert g4_bounds(0, 0) == Interval(0, 0)
+    assert g4_bounds(2, 4) == Interval(1, 4)  # a Seifert genus as the upper bound
     with pytest.raises(ValueError, match="inconsistent"):
         g4_bounds(6, 0)
 
@@ -83,20 +82,15 @@ def test_family_report_first_knot():
     assert report.name == "K1 (10_125)"
     assert report.strands == 3
     assert report.exponent_sum == 0
-    assert report.writhe == 0
-    assert report.self_linking == -3
     assert report.max_self_linking == MaxSelfLinking(-3, True)
     assert report.signature == 2
     assert report.determinant == 11
     assert report.g3_upper == 4
-    assert report.g4 == G4Bounds(1, 1)
+    assert report.g4 == Interval(1, 1)
     assert report.s is not None and report.s.value == -2
-    assert report.tau == TauInterval(-1, -1)
+    assert report.tau == Interval(-1, -1)
     assert report.defects == Defects(Fraction(2), Fraction(0), Fraction(0))
-    assert report.detectors.psi_nonzero
-    assert report.detectors.right_veering
-    assert report.detectors.theta_nonzero
-    assert report.detectors.contact_nonzero
+    assert report.s_bound_sharp is True
     assert report.quasipositive_verdict == "not_quasipositive"
 
 
@@ -105,7 +99,7 @@ def test_family_report_growth():
     assert report.defects == Defects(Fraction(8), Fraction(0), Fraction(0))
     assert report.signature == 8
     assert report.s.value == -8
-    assert report.tau == TauInterval(-4, -4)
+    assert report.tau == Interval(-4, -4)
     assert report.name == "K4"
 
 
@@ -170,10 +164,20 @@ def test_word_report_trefoil():
     report = word_report(BraidWord(2, (1, 1, 1)))
     assert report.signature == -2
     assert report.s is None
-    assert report.tau == TauInterval(None, None)
+    assert report.tau == Interval(None, None)
     assert report.defects == Defects(None, None, None)
     assert report.quasipositive_verdict == "unknown"
     assert not report.max_self_linking.assumes_minimal_index
+
+
+def test_unknown_s_states_no_sharpness():
+    # the positive trefoil's psi is nonzero, but without s nothing is claimed
+    trefoil = word_report(BraidWord(2, (1, 1, 1)))
+    four_strand = word_report(BraidWord(4, (1, -2, 3)))
+    for report in (trefoil, four_strand):
+        assert report.s is None
+        assert report.s_bound_sharp is None
+        assert report_to_dict(report)["s_bound_sharp"] is None
 
 
 def test_word_report_family_word_with_assumption():
@@ -181,7 +185,7 @@ def test_word_report_family_word_with_assumption():
     assert report.s is not None and report.s.value == -2
     assert report.defects.delta_s == 0
     assert report.defects.delta4 is None  # genus bounds not pinned without a surface
-    assert report.detectors.psi_nonzero
+    assert report.s_bound_sharp is True
     json.dumps(report_to_dict(report))
 
 

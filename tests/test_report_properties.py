@@ -3,7 +3,9 @@
 Reports survive a JSON round trip exactly, on random knot closures and on
 conjugated Type-1 forms, which carry s and a defect delta_s.  A knot's
 self-linking number is odd, so its defects are whole Fractions; the round
-trip must give them back as Fractions, not ints.  Conjugacy certificates
+trip must give them back as Fractions, not ints.  The g4 and tau bounds
+share one interval type, and a report states s-bound sharpness exactly
+when it knows s.  Conjugacy certificates
 verify for random conjugates on 3 and 4 strands.
 """
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from bennequin.braid import closure_components, free_reduce
 from bennequin.garside import conjugacy_decide, verify_certificate
 from bennequin.report import report_from_dict, report_to_dict, word_report
+from bennequin.tau import Interval
 from bennequin.threebraid import type1_word
 from oracles import conjugate
 from strategies import knot_words, words
@@ -44,12 +47,19 @@ def assert_round_trips(report):
     back = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
     assert back == report
     assert repr(back) == repr(report)
+    assert type(back.g4) is type(back.tau) is Interval
+
+
+def assert_sharpness_needs_s(report):
+    assert (report.s_bound_sharp is None) == (report.s is None)
 
 
 @REPORTS
 @given(knot_words(st.sampled_from((2, 4, 5, 6)), max_size=24), st.booleans())
 def test_knot_reports_round_trip(w, assume_minimal_index):
-    assert_round_trips(word_report(w, assume_minimal_index=assume_minimal_index))
+    report = word_report(w, assume_minimal_index=assume_minimal_index)
+    assert_sharpness_needs_s(report)
+    assert_round_trips(report)
 
 
 # a generic 3-braid runs the whole bounded Type-1 search, whose cost grows
@@ -58,7 +68,9 @@ def test_knot_reports_round_trip(w, assume_minimal_index):
 @REPORTS
 @given(knot_words(st.just(3), max_size=6, min_size=4), st.booleans())
 def test_three_strand_reports_round_trip(w, assume_minimal_index):
-    assert_round_trips(word_report(w, assume_minimal_index=assume_minimal_index))
+    report = word_report(w, assume_minimal_index=assume_minimal_index)
+    assert_sharpness_needs_s(report)
+    assert_round_trips(report)
 
 
 @settings(REPORTS, max_examples=8)
@@ -66,8 +78,9 @@ def test_three_strand_reports_round_trip(w, assume_minimal_index):
 def test_type1_reports_round_trip(w, assume_minimal_index):
     report = word_report(w, assume_minimal_index=assume_minimal_index)
     assert report.s is not None
-    assert report.s.value == report.writhe - 2
+    assert report.s.value == report.exponent_sum - 2
     # Martin's rule makes the s-bound sharp on the diagram
+    assert report.s_bound_sharp is True
     expected = 0 if assume_minimal_index else None
     assert report.defects.delta_s == expected
     assert_round_trips(report)

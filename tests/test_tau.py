@@ -1,18 +1,18 @@
 """Crossing-change interval propagation for the tau invariant."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
 from bennequin.tau import (
+    Interval,
     PropagationContradiction,
     TauConstraintGraph,
-    TauInterval,
     TauNode,
     family_graph,
     family_tau,
     graph_from_dict,
-    intervals_to_dict,
     propagate,
     torus_knot_tau,
 )
@@ -31,7 +31,7 @@ def test_torus_knot_values():
 
 def test_single_exact_node():
     graph = TauConstraintGraph(nodes=(TauNode("A", -3),), edges=())
-    assert propagate(graph) == {"A": TauInterval(-3, -3)}
+    assert propagate(graph) == {"A": Interval(-3, -3)}
 
 
 def test_isolated_unknown_node_stays_unbounded():
@@ -45,7 +45,7 @@ def test_single_edge_gives_unit_interval():
     graph = TauConstraintGraph(
         nodes=(TauNode("K"), TauNode("P", -4)), edges=(("P", "K"),)
     )
-    assert propagate(graph)["K"] == TauInterval(-4, -3)
+    assert propagate(graph)["K"] == Interval(-4, -3)
 
 
 def test_contradiction_reports_node_and_edges():
@@ -61,10 +61,10 @@ def test_contradiction_reports_node_and_edges():
 def test_family_graph_pins_value():
     for n in (1, 2, 100):
         intervals = propagate(family_graph(n))
-        assert intervals["K"] == TauInterval(-n, -n)
-        assert intervals["P"] == TauInterval(-n, -n)
-        assert intervals["R"] == TauInterval(-n, -n)
-        assert intervals["T"] == TauInterval(-n - 1, -n - 1)
+        assert intervals["K"] == Interval(-n, -n)
+        assert intervals["P"] == Interval(-n, -n)
+        assert intervals["R"] == Interval(-n, -n)
+        assert intervals["T"] == Interval(-n - 1, -n - 1)
 
 
 def test_family_tau_values():
@@ -81,9 +81,9 @@ def test_two_step_tightening_mirrors_the_two_bound_arguments():
     partial = TauConstraintGraph(
         nodes=(TauNode("K"), TauNode("P", -n)), edges=(("P", "K"),)
     )
-    assert propagate(partial)["K"] == TauInterval(-n, -n + 1)
+    assert propagate(partial)["K"] == Interval(-n, -n + 1)
     # upper-bound step: the chain through R tightens the upper end to -n
-    assert propagate(family_graph(n))["K"] == TauInterval(-n, -n)
+    assert propagate(family_graph(n))["K"] == Interval(-n, -n)
 
 
 def test_propagation_confluent_under_edge_reordering():
@@ -122,7 +122,7 @@ def test_graph_validation():
 
 def test_interval_validation():
     with pytest.raises(ValueError):
-        TauInterval(3, 2)
+        Interval(3, 2)
 
 
 def test_json_wire_format():
@@ -131,5 +131,5 @@ def test_json_wire_format():
         "edges": [["P", "K"]],
     }
     graph = graph_from_dict(data)
-    out = intervals_to_dict(propagate(graph))
+    out = {name: asdict(iv) for name, iv in propagate(graph).items()}
     assert out == {"K": {"lower": -1, "upper": 0}, "P": {"lower": -1, "upper": -1}}

@@ -19,10 +19,10 @@ from bennequin.garside import (
 from bennequin.threebraid import (
     Type1Form,
     s_bound_sharp,
-    s_invariant_type1,
     type1_recognize,
     type1_word,
 )
+from bennequin.report import word_report
 from oracles import conjugate
 
 FULL_TWIST_WORD = BraidWord(3, (1, 2, 1, 2, 1, 2))
@@ -71,7 +71,7 @@ def test_recognition_requires_three_strands():
     with pytest.raises(ValueError):
         type1_recognize(BraidWord(2, (1,)))
     with pytest.raises(ValueError):
-        s_invariant_type1(BraidWord(4, (1, 2, 3)))
+        type1_recognize(BraidWord(4, (1, 2, 3)))
 
 
 def test_candidate_cap_is_distinct_from_no_match():
@@ -81,7 +81,7 @@ def test_candidate_cap_is_distinct_from_no_match():
 
 def test_s_invariant_family():
     for n in (1, 2, 3):
-        assert s_invariant_type1(family_word(n)) == -2 * n
+        assert type1_recognize(family_word(n)).s_invariant == -2 * n
 
 
 def test_form_s_invariant_reads_the_writhe_off_the_form():
@@ -100,23 +100,24 @@ def test_form_s_invariant_reads_the_writhe_off_the_form():
 def test_s_invariant_unrecognized_word():
     # knot closure, but no Type-1 form inside the search bounds
     w = BraidWord(3, (1, -2))
-    assert s_invariant_type1(w) is None
+    assert type1_recognize(w) is None
 
 
 def test_s_invariant_rejects_links():
+    # the report pipeline refuses a link before any Type-1 search
     with pytest.raises(ValueError, match="component"):
-        s_invariant_type1(BraidWord(3, (1, 1, 2, 2)))
+        word_report(BraidWord(3, (1, 1, 2, 2)))
 
 
 def test_s_invariant_constant_under_conjugation():
     rng = random.Random(71)
     for n in (1, 2):
         w = family_word(n)
-        assert s_invariant_type1(family_type1_word(n)) == -2 * n
+        assert type1_recognize(family_type1_word(n)).s_invariant == -2 * n
         for _ in range(3):
             c = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(4)))
             moved = free_reduce(conjugate(w, c))
-            assert s_invariant_type1(moved) == -2 * n
+            assert type1_recognize(moved).s_invariant == -2 * n
 
 
 def test_psi_detector():
