@@ -47,8 +47,8 @@ VERIFICATION_FAILURE = 3
 
 # Largest matrix ``signature`` reads.  Exact diagonalization costs about
 # size**3 operations on integers that grow with the size: a dense 100x100
-# form with entries in -4..4 took 0.26 s, read and diagonalized, on a 2-core
-# x86-64 host under CPython 3.11, a 50x50 one 0.04 s.
+# form with entries in -4..4 took 0.23 to 0.27 s, read and diagonalized, on
+# a 2-core x86-64 host under CPython 3.11, a 50x50 one 0.03 to 0.05 s.
 MAX_MATRIX_SIZE = 100
 # The most a matrix file may hold: the size line and MAX_MATRIX_SIZE**2
 # entries, each up to 31 characters and a separator.  Nothing past it is read.
@@ -57,9 +57,10 @@ MAX_MATRIX_BYTES = 32 * (MAX_MATRIX_SIZE**2 + 1)
 # a denominator q > 1 counts q.bit_length() bits, an integer entry none.
 # Each row is scaled by the lcm of its denominators, and the integers of the
 # elimination carry those factors.  On the host above, one 256-bit
-# denominator at (1,1) of a dense 100x100 form took 1.1 s (2.9 s at 512
-# bits), the slowest shape measured; a 30x30 form with a distinct prime
-# denominator at every entry (9,421 bits) took 1.2 s, a 45x45 one 21.7 s.
+# denominator at (1,1) of a dense 100x100 form took 0.7 s (1.5 to 1.6 s at
+# 512 bits), the slowest shape measured; a 30x30 form with a distinct prime
+# denominator at every entry (9,421 bits) took 0.5 to 0.7 s, a 45x45 one 9.5
+# to 11 s.
 MAX_DENOMINATOR_BITS = 256
 # The most digits one matrix entry may have: the digits written in it plus
 # the magnitude of its decimal exponent ("-12e3" counts 3 + 3 = 6), checked
@@ -72,14 +73,14 @@ MAX_ENTRY_DIGITS = 4300
 # The most integer work a matrix file may ask of the diagonalization, as
 # estimated by quadform.elimination_work: squared entry bits summed over the
 # updates that can be nonzero.  Entry bits alone bound nothing: one 4,096-bit
-# entry in a dense 100x100 form of -4..4 took 32 s, while the 100x100
-# diagonal of 10**44 (14,700 bits) takes 0.7 s.  On the host above the
-# slowest shapes at this cap took 1.2 to 2.0 s: one 680-bit entry at (1,1)
+# entry in a dense 100x100 form of -4..4 took 14 to 15 s, while the 100x100
+# diagonal of 10**44 (14,700 bits) takes 0.1 s.  On the host above the
+# slowest shapes at this cap took 0.5 to 0.9 s: one 680-bit entry at (1,1)
 # of a dense 100x100 form of -4..4, or one 341-bit pair at (1,2); dense
 # forms of 22-bit (100x100), 143-bit (50x50) and 508-bit (30x30) entries;
 # an arrow of 22-bit diagonal entries.  The dense form of 30-digit entries
-# estimates 3.7e12 (16.3 s), the diagonal of 10**44 2.0e11 and the dense
-# -4..4 form 1.7e10.
+# estimates 3.7e12 (8.2 to 8.8 s), the diagonal of 10**44 2.0e11 and the
+# dense -4..4 form 1.7e10.
 MAX_ELIMINATION_WORK = 250 * 10**9
 
 

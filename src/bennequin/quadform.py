@@ -7,6 +7,16 @@ symmetric matrix and preserves signature and nullity by Sylvester's law
 of inertia.  It runs fraction-free on integers (Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math.
 Comp. 22, 1968); only the reported diagonal is made of fractions.
+
+The elimination stores the upper triangle of its block sparse, one dict of
+nonzero entries per row.  A step rewrites only the rows with a nonzero in
+the pivot column.  Every other row would only be multiplied by
+pivot / prev; these factors telescope, so such a row is scaled once, by
+prev_now / prev_then, when a later step reads it.  The Seifert forms
+V + V^T of braid closures are mostly zero, so this touches a small part of
+the block (George and Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981).  The pivot order stays natural, so the integers,
+and the reported pivots, are those of the dense elimination.
 """
 
 from __future__ import annotations
@@ -71,6 +81,10 @@ def elimination_work(rows) -> int:
     off-diagonal entries: neither elimination nor a pivot repair fills in
     across components.  Each update costs about the square of its bits,
     since CPython divides by schoolbook.
+
+    The estimate is of the dense elimination, which updates every entry of
+    the block at every step.  The sparse route computes an entry only where
+    the dense one updates it, and at most as often, so it is bounded too.
     """
     scale, mat = _integer_form(rows)
     size = len(mat)
@@ -108,50 +122,103 @@ def elimination_work(rows) -> int:
     return work
 
 
+def _pivots(mat: list[list[int]]) -> list[tuple[int, int]]:
+    """Fraction-free congruence of a symmetric integer matrix in natural
+    pivot order: the k-th pair is the k-th pivot and ``prev``, the last
+    nonzero pivot before it (1 at first).
+
+    The block keeps its upper triangle as one ``{column: nonzero}`` dict
+    per row, and a step rewrites only the rows with a nonzero in the pivot
+    column.  Every other row i is scaled lazily: a Bareiss step multiplies
+    it by pivot / prev, these factors telescope, so row i holds its exact
+    entries as of ``prev == stamp[i]`` and ``x * prev // stamp[i]`` brings
+    an entry up to date, exactly.
+    """
+    block = [{j: x for j, x in enumerate(row[i:], i) if x} for i, row in enumerate(mat)]
+    stamp = [1] * len(mat)
+    out = []
+    prev = 1
+    for k, head in enumerate(block):
+        s = stamp[k]
+        if s != prev:
+            head = {j: x * prev // s for j, x in head.items()}
+        if k not in head and head:
+            # a zero pivot: add c times row and column j, the first nonzero
+            # of row k, into row and column k.  Row j's entries left of
+            # column j are held, by symmetry, in the rows between k and j.
+            j = min(head)
+            row = block[j]
+            s = stamp[j]
+            if s != prev:
+                row = block[j] = {i: x * prev // s for i, x in row.items()}
+                stamp[j] = prev
+            b = head[j]
+            # the new pivot is c*(c*M_jj + 2*M_kj) with M_kj != 0: when
+            # c = 1 gives 0, M_jj = -2*M_kj and c = 2 gives -4*M_kj
+            c = 1 if row.get(j, 0) + 2 * b else 2
+            for i in range(k + 1, j):
+                r = block[i]
+                if j in r:
+                    head[i] = c * (r[j] * prev // stamp[i])
+            for i, x in row.items():
+                y = head.get(i, 0) + c * x
+                if y:
+                    head[i] = y
+                else:
+                    del head[i]
+            # the row step put c*M_jk at (k, k); the column step adds c*M'_kj
+            head[k] = c * (b + head.get(j, 0))
+        pivot = head[k] if k in head else 0
+        out.append((pivot, prev))
+        if not pivot:
+            continue  # row k is zero, and so is column k
+        cols = sorted(head)  # k first
+        for t in range(1, len(cols)):
+            i = cols[t]
+            a = head[i]
+            old = block[i]
+            s = stamp[i]
+            # a step scales the columns where row k is zero by pivot / prev
+            new = block[i] = {j: x * pivot // s for j, x in old.items() if j not in head}
+            if s != prev:
+                old = {j: x * prev // s for j, x in old.items()}
+            for j in cols[t:]:
+                x = pivot * old[j] - a * head[j] if j in old else -a * head[j]
+                if x:
+                    new[j] = x // prev
+            stamp[i] = pivot
+        prev = pivot
+    return out
+
+
 def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     """Diagonalize a symmetric rational matrix by congruence.
 
     Row i and column i are first scaled by d_i, the lcm of row i's
     denominators; a congruence by a positive diagonal matrix keeps the
     signature and nullity, and gives an integer matrix M.  Pivots are then
-    taken in natural order by fraction-free elimination: ``block`` holds
+    taken in natural order by fraction-free elimination: the block holds
     ``prev`` times the trailing Schur complement, where ``prev`` is the last
-    nonzero pivot, and the update divides exactly.  The k-th diagonal entry
-    is the pivot of M over ``prev`` and over d_k squared.
+    nonzero pivot, and the update ``(pivot*a - a_ik*a_kj) // prev`` divides
+    exactly.  The k-th diagonal entry is the pivot of M over ``prev`` and
+    over d_k squared.  Natural order keeps each pivot a ratio of leading
+    principal minors whenever none of them vanishes (Jacobi), which the
+    twist-chain checks read.
+
+    The block's upper triangle is stored sparse, one dict of nonzero
+    entries per row, and rows with a zero in the pivot column are scaled
+    lazily (see :func:`_pivots`); the integers are those of the dense
+    elimination.
 
     A zero pivot with a nonzero entry in column j of its row is repaired by
     adding c times row and column j into row and column k, with c in
     {1, 2}: both are transvections, so the determinant is kept exactly.  A
     zero row records 0 and leaves ``prev`` as it was.
     """
-    scale, block = _integer_form(rows)
-    ratios = []  # the k-th diagonal entry as (pivot, prev * d_k**2)
-    prev = 1
-    for dk in scale:
-        head = block[0]
-        if head[0] == 0:
-            j = next((j for j, x in enumerate(head) if x), None)
-            if j is not None:
-                # the new pivot is c*(c*M_jj + 2*M_kj) with M_kj != 0: when
-                # c = 1 gives 0, M_jj = -2*M_kj and c = 2 gives -4*M_kj
-                c = 1 if block[j][j] + 2 * head[j] else 2
-                head = block[0] = [a + c * b for a, b in zip(head, block[j])]
-                for row in block:
-                    row[0] += c * row[j]
-        pivot = head[0]
-        if pivot == 0:
-            ratios.append((0, 1))
-            block = [row[1:] for row in block[1:]]
-            continue
-        rest = head[1:]
-        block = [
-            [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], rest)]
-            for row in block[1:]
-        ]
-        ratios.append((pivot, prev * dk * dk))
-        prev = pivot
-
-    diagonal = tuple(Fraction(p, q) for p, q in ratios)
+    scale, mat = _integer_form(rows)
+    diagonal = tuple(
+        Fraction(p, prev * d * d) for (p, prev), d in zip(_pivots(mat), scale)
+    )
     positives = sum(1 for d in diagonal if d > 0)
     negatives = sum(1 for d in diagonal if d < 0)
     det = Fraction(1)

@@ -43,17 +43,23 @@ def det_fraction(rows) -> Fraction:
     return det
 
 
-def measured_elimination_work(rows) -> int:
-    """Squared bits summed over the nonzero entries that the fraction-free
-    congruence of ``quadform`` computes, each step counted at its widest
-    entry: its elimination rerun on the scaled integer matrix."""
+def dense_congruence_steps(rows):
+    """The fraction-free congruence of ``quadform`` in natural pivot order,
+    run dense: every entry of the trailing block is updated at every step.
+
+    Yields ``(pivot, denominator, block)`` per step, the k-th diagonal entry
+    being ``pivot / denominator`` and ``block`` the trailing block after the
+    step.  Rows and columns are first scaled by the lcm of their row's
+    denominators; a zero pivot with a nonzero in column j of its row is
+    repaired by adding c times row and column j, c in {1, 2}.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     scale = [math.lcm(*(x.denominator for x in row)) for row in mat]
     block = [
         [int(x * di * dj) for x, dj in zip(row, scale)] for row, di in zip(mat, scale)
     ]
-    work, prev = 0, 1
-    while block:
+    prev = 1
+    for dk in scale:
         head = block[0]
         if head[0] == 0:
             j = next((j for j, x in enumerate(head) if x), None)
@@ -65,14 +71,39 @@ def measured_elimination_work(rows) -> int:
         pivot = head[0]
         if pivot == 0:
             block = [row[1:] for row in block[1:]]
+            yield 0, 1, block
             continue
         block = [
             [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], head[1:])]
             for row in block[1:]
         ]
-        entries = [x for row in block for x in row if x]
-        work += len(entries) * max((abs(x).bit_length() for x in entries), default=0) ** 2
+        yield pivot, prev * dk * dk, block
         prev = pivot
+
+
+def dense_congruence(rows) -> tuple:
+    """``(diagonal, signature, nullity, determinant)`` of the dense
+    congruence: the fields of ``quadform.CongruenceDiagnosis``, in order."""
+    diagonal = tuple(Fraction(p, q) for p, q, _ in dense_congruence_steps(rows))
+    positives = sum(1 for d in diagonal if d > 0)
+    negatives = sum(1 for d in diagonal if d < 0)
+    return (
+        diagonal,
+        positives - negatives,
+        len(diagonal) - positives - negatives,
+        math.prod(diagonal, start=Fraction(1)),
+    )
+
+
+def measured_elimination_work(rows) -> int:
+    """Squared bits summed over the nonzero entries that the dense
+    congruence computes, each step after a nonzero pivot counted at its
+    widest entry."""
+    work = 0
+    for pivot, _, block in dense_congruence_steps(rows):
+        if pivot:
+            entries = [x for row in block for x in row if x]
+            work += len(entries) * max((abs(x).bit_length() for x in entries), default=0) ** 2
     return work
 
 

@@ -235,7 +235,7 @@ def test_signature_elimination_work_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_signature_rejects_the_slow_dense_shapes(tmp_path, capsys, monkeypatch):
-    # each took 16 to 32 s to diagonalize on a 2-core x86-64 host
+    # each took 8 to 15 s to diagonalize on a 2-core x86-64 host
     _unreachable_diagonalization(monkeypatch)
     rng = random.Random(5)
     size = cli.MAX_MATRIX_SIZE

@@ -1,17 +1,21 @@
 """Exact congruence diagonalization, its pivots, and knot signatures."""
 
 import random
+import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
+from bennequin import quadform
 from bennequin.braid import BraidWord, family_type1_word, family_word
 from bennequin.quadform import congruence_diagonalize, knot_signature
-from bennequin.seifert import twist_chain_matrix
+from bennequin.seifert import seifert_matrix, twist_chain_matrix
 from oracles import (
     congruence_transform,
     conjugate,
     cyclic_shift,
+    dense_congruence,
     det_fraction,
     float_signature,
     random_knot_words,
@@ -50,6 +54,43 @@ def test_twist_chain_last_pivot_pattern():
 def test_twist_chain_signatures_grow_by_one():
     for k in range(1, 13):
         assert congruence_diagonalize(twist_chain_matrix(k)).signature == k + 1
+
+
+def test_sparse_congruence_matches_the_dense_one_on_knot_forms():
+    forms = [twist_chain_matrix(k) for k in range(1, 80)]
+    for w in random_knot_words(random.Random(43), 100, max_strands=7, max_len=40):
+        v = seifert_matrix(w).matrix
+        size = len(v)
+        forms.append([[v[i][j] + v[j][i] for j in range(size)] for i in range(size)])
+    for mat in forms:
+        assert astuple(congruence_diagonalize(mat)) == dense_congruence(mat)
+
+
+def _calls(fn, *args) -> int:
+    """Python and C calls made by fn(*args), counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the c_call of sys.setprofile(None)
+
+
+def test_elimination_follows_the_nonzero_entries():
+    # a twist chain is banded past its first six rows, so a sparse
+    # elimination grows linearly with k; a dense one updates the whole
+    # trailing block at every step, and triples when k doubles
+    calls = {
+        k: _calls(quadform._pivots, quadform._integer_form(twist_chain_matrix(k))[1])
+        for k in (80, 160)
+    }
+    assert calls[160] <= 2.2 * calls[80], calls
 
 
 def test_zero_matrix():

@@ -5,6 +5,7 @@ are zero past their pivot both occur often.
 """
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from bennequin.quadform import congruence_diagonalize, elimination_work
 from oracles import (
     congruence_transform,
+    dense_congruence,
     det_fraction,
     measured_elimination_work,
     random_unimodular,
@@ -59,6 +61,15 @@ def test_scaling_by_a_positive_rational(mat, q):
     b = congruence_diagonalize(scaled)
     assert (b.signature, b.nullity) == (a.signature, a.nullity)
     assert b.determinant == a.determinant / Fraction(q) ** len(mat)
+
+
+@PROPERTY
+@given(symmetric_forms(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_sparse_congruence_is_the_dense_one(mat, q, seed):
+    # the same pivots bit for bit, so every field agrees, not only the inertia
+    moved = congruence_transform(mat, random_unimodular(random.Random(seed), len(mat)))
+    for rows in (mat, moved, [[Fraction(x, q) for x in row] for row in mat]):
+        assert astuple(congruence_diagonalize(rows)) == dense_congruence(rows)
 
 
 @PROPERTY
