@@ -9,66 +9,31 @@ Seifert matrix and serves as its oracle in :mod:`bennequin.checks` and the
 tests.  Both normalize to the same canonical representative, so they can
 cross-validate each other exactly.
 
-The arithmetic runs on plain dicts ``{exponent: nonzero coefficient}``:
-the Burau column updates, the fraction-free determinant and exact division
-all stay exact on integers.  :class:`LaurentPoly` is the boundary type:
-the public functions convert to and from it once, so the number of them a
-call builds does not grow with the word's length.
+All arithmetic runs on plain dicts ``{exponent: nonzero coefficient}``:
+the Burau column updates, the fraction-free determinant, exact division
+and normalization all stay exact on integers, and :func:`laurent_det`,
+:func:`normalize` and :func:`reduced_burau` take and return such dicts.
+:class:`LaurentPoly` is the value type of a finished Alexander polynomial,
+built once per call, and :func:`knot_determinant` reads |Delta(-1)| off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord, closure_components
 
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Integer Laurent polynomial; ``coeffs`` holds no zero values."""
+    """Integer Laurent polynomial as a value, no arithmetic; ``coeffs`` holds
+    no zero values."""
 
     coeffs: tuple[tuple[int, int], ...]  # sorted (exponent, coefficient) pairs
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    @staticmethod
-    def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly.from_dict({0: c})
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    # __neg__ and shift build their tuples from lists.  A tuple built from a
-    # generator starts at a guessed length and is resized, so CPython takes
-    # it from one tuple freelist and returns it to another; built in bulk,
-    # such tuples fill the freelists of their final lengths to 2,000 tuples
-    # each (4.5 MB held after 560 corpus words when the Burau product ran on
-    # LaurentPoly entries, CPython 3.11).
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple([(e, -c) for e, c in self.coeffs]))
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly(tuple([(e + k, c) for e, c in self.coeffs]))
-
-    def min_exp(self) -> int:
-        return self.coeffs[0][0]
-
-    def max_exp(self) -> int:
-        return self.coeffs[-1][0]
-
-    def eval_at(self, value: Fraction | int) -> Fraction:
-        value = Fraction(value)
-        total = Fraction(0)
-        for e, c in self.coeffs:
-            total += c * value**e
-        return total
+        return LaurentPoly(tuple(sorted([(e, c) for e, c in d.items() if c != 0])))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -148,30 +113,38 @@ def _det(mat: list[list[dict[int, int]]]) -> dict[int, int]:
     return det if sign == 1 else {e: -c for e, c in det.items()}
 
 
-def laurent_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix of Laurent polynomials (Bareiss)."""
+def laurent_det(matrix: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a square matrix of dict polynomials (Bareiss)."""
     size = len(matrix)
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-    return LaurentPoly.from_dict(_det([[p.as_dict() for p in row] for row in matrix]))
+    return _det([[{e: c for e, c in p.items() if c} for p in row] for row in matrix])
 
 
-def normalize(p: LaurentPoly) -> LaurentPoly:
-    """Canonical unit multiple of p: centered exponents, then sign.
+def normalize(p: dict[int, int]) -> dict[int, int]:
+    """Canonical unit multiple of a dict polynomial: centered exponents, then sign.
 
     The exponent shift centers the support (exactly symmetric around 0
     whenever the span is even, as it is for knot polynomials).  The sign
     makes the value at 1 positive when it is nonzero, otherwise makes the
     leading coefficient positive.
     """
-    if p.is_zero():
-        return p
-    p = p.shift(-((p.min_exp() + p.max_exp()) // 2))
-    at_one = sum(c for _, c in p.coeffs)
-    if at_one != 0:
-        return p if at_one > 0 else -p
-    return p if p.coeffs[-1][1] > 0 else -p
+    if not p:
+        return {}
+    top = max(p)
+    shift = -((min(p) + top) // 2)
+    at_one = sum(p.values())
+    sign = 1 if at_one > 0 or (at_one == 0 and p[top] > 0) else -1
+    return {e + shift: sign * c for e, c in p.items()}
+
+
+def knot_determinant(delta: LaurentPoly) -> int:
+    """|Delta(-1)|, the determinant of the knot."""
+    total = 0
+    for e, c in delta.coeffs:
+        total += -c if e & 1 else c
+    return abs(total)
 
 
 def alexander_from_seifert(v: list[list[int]]) -> LaurentPoly:
@@ -184,7 +157,7 @@ def alexander_from_seifert(v: list[list[int]]) -> LaurentPoly:
         [{e: c for e, c in ((0, v[i][j]), (1, -v[j][i])) if c} for j in range(size)]
         for i in range(size)
     ]
-    return normalize(LaurentPoly.from_dict(_det(mat)))
+    return LaurentPoly.from_dict(normalize(_det(mat)))
 
 
 def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
@@ -233,10 +206,10 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
     return cols
 
 
-def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
-    """Reduced Burau matrix of a braid word, size (strands-1)^2."""
+def reduced_burau(w: BraidWord) -> list[list[dict[int, int]]]:
+    """Reduced Burau matrix of a braid word: (strands-1)^2 dict polynomials."""
     cols = _burau_columns(w)
-    return [[LaurentPoly.from_dict(col[r]) for col in cols] for r in range(len(cols))]
+    return [[col[r] for col in cols] for r in range(len(cols))]
 
 
 def burau_alexander(w: BraidWord) -> LaurentPoly:
@@ -252,4 +225,4 @@ def burau_alexander(w: BraidWord) -> LaurentPoly:
             row[r][0] = one
     # Delta(t) = det(I - B) * (1 - t) / (1 - t^n); the quotient is exact.
     delta = _exact_div(_det(mat), dict.fromkeys(range(n), 1))
-    return normalize(LaurentPoly.from_dict(delta))
+    return LaurentPoly.from_dict(normalize(delta))

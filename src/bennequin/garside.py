@@ -46,6 +46,10 @@ Perm = tuple[int, ...]
 
 # Default budget of the super summit search, in nodes expanded.
 NODE_CAP = 10**6
+# Most strands conjugacy_decide takes: its search tries all n! - 1 simples.
+# sigma_1 against sigma_{n-1} took 0.52 s on 7 strands and 10.1 s (20 MB) on
+# 8, on a 2-core x86-64 host under CPython 3.11.
+MAX_CONJUGACY_STRANDS = 8
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -327,10 +331,13 @@ def conjugacy_decide(
 
     Explores the super summit set of w1 while tracking conjugators.  The
     node cap turns pathological inputs into :class:`SearchBudgetExceeded`
-    rather than an unbounded search.
+    rather than an unbounded search; more than
+    :data:`MAX_CONJUGACY_STRANDS` strands raise ValueError.
     """
     if w1.strands != w2.strands:
         raise ValueError("strand counts differ")
+    if w1.strands > MAX_CONJUGACY_STRANDS:
+        raise ValueError(f"conjugacy takes at most {MAX_CONJUGACY_STRANDS} strands")
     if exponent_sum(w1) != exponent_sum(w2):
         return None
     nf1, nf2 = normal_form(w1), normal_form(w2)

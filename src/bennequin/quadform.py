@@ -47,8 +47,9 @@ def _integer_form(rows) -> tuple[list[int], list[list[int]]]:
     # and so did skipping the conversion for all-int input: 3.5 MB over 40
     # rounds of 14 random 4- to 7-strand knots through word_report, against
     # 0.35 MB with it.  Most of that 3.5 MB was tuples parked on CPython's
-    # freelists (see LaurentPoly.__neg__); since LaurentPoly builds its
-    # tuples from lists the shortcut adds 0.6 MB over the same rounds.
+    # freelists, where a tuple built from a generator is resized from one
+    # length to another; since LaurentPoly builds its tuples from lists the
+    # shortcut adds 0.6 MB over the same rounds.
     rational = [[Fraction(x) for x in row] for row in rows]
     size = len(rational)
     if any(len(row) != size for row in rational):

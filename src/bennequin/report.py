@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import quadform
-from .alexander import LaurentPoly, burau_alexander
+from .alexander import LaurentPoly, burau_alexander, knot_determinant
 from .braid import (
     BraidWord,
     closure_components,
@@ -182,7 +182,6 @@ def _pipeline(
     sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
     sigma = quadform.congruence_diagonalize(sym).signature
     alex = burau_alexander(w)
-    determinant = abs(int(alex.eval_at(-1)))
     g3_upper = data.genus
     g4 = g4_bounds(sigma, g3_upper if four_ball_genus is None else four_ball_genus)
 
@@ -211,7 +210,7 @@ def _pipeline(
         max_self_linking=MaxSelfLinking(sl, assume_minimal_index),
         signature=sigma,
         alexander=alex,
-        determinant=determinant,
+        determinant=knot_determinant(alex),
         g3_upper=g3_upper,
         g4=g4,
         s=s_value,

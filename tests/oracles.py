@@ -3,9 +3,11 @@
 Everything here is deliberately written against raw lists/dicts rather
 than the package's own types, so an agreement test really compares two
 implementations.  The word moves (conjugation, cyclic shift, mirror) build
-plain ``BraidWord`` values; only tests use them.  The seeded corpora are not
-oracles: they come from :mod:`bennequin.checks`, so the tests and
-``bennequin verify`` draw the same words and matrices from a seed.
+plain ``BraidWord`` values; only tests use them.  :func:`rewriting_equal`
+decides the word problem with no normal form, for the strand counts where
+the Burau check of ``bennequin verify`` would not be exact.  The seeded
+corpora are not oracles: they come from :mod:`bennequin.checks`, so the
+tests and ``bennequin verify`` draw the same words and matrices from a seed.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ import math
 import random
 from fractions import Fraction
 
-from bennequin.braid import BraidWord
+from bennequin.braid import BraidWord, closure_permutation, exponent_sum, free_reduce
 from bennequin.checks import (  # noqa: F401  (re-exported corpora)
+    EXTRA_LENGTH,
     congruence_transform,
     random_knot_words,
     random_symmetric,
     random_unimodular,
+    relation_neighbors,
+    word_pairs,
 )
 
 
@@ -218,6 +223,44 @@ def cyclic_shift(w: BraidWord, k: int) -> BraidWord:
 def mirror(w: BraidWord) -> BraidWord:
     """Negate every letter; the closure becomes the mirror-image link."""
     return BraidWord(w.strands, tuple(-k for k in w.letters))
+
+
+def rewriting_equal(w1: BraidWord, w2: BraidWord) -> bool:
+    """Decide equality by bounded rewriting, independently of normal forms.
+
+    Exponent sum and permutation are checked first, since every relation
+    move keeps them.  Then a bidirectional breadth-first search runs over
+    words at most :data:`EXTRA_LENGTH` letters longer than the longer
+    input; "unequal" means no rewriting within that bound, so the answer is
+    exact only where the bound is known to suffice (short words here).
+    """
+    if w1.strands != w2.strands:
+        raise ValueError("strand counts differ")
+    if exponent_sum(w1) != exponent_sum(w2):
+        return False
+    if closure_permutation(w1) != closure_permutation(w2):
+        return False
+    a = free_reduce(w1).letters
+    b = free_reduce(w2).letters
+    if a == b:
+        return True
+    max_len = max(len(a), len(b)) + EXTRA_LENGTH
+    sides = [{a}, {b}]
+    frontiers = [[a], [b]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        seen, other = sides[side], sides[1 - side]
+        next_frontier = []
+        for word in frontiers[side]:
+            for nb in relation_neighbors(word, w1.strands, max_len):
+                if nb in other:
+                    return True
+                if nb not in seen:
+                    seen.add(nb)
+                    next_frontier.append(nb)
+        frontiers[side] = next_frontier
+    # one side's bounded component is exhausted and never met the other
+    return False
 
 
 # -- permutations ------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bennequin import checks, cli, quadform
+from bennequin import checks, cli, garside, quadform, seifert
 from bennequin.braid import BraidWord
 from bennequin.cli import run
 from bennequin.garside import ConjugacyCertificate
@@ -104,6 +104,14 @@ def test_seifert_formats(capsys):
         capsys, "seifert", "1 1 1", "--strands", "2", "--format", "json"
     )
     assert json.loads(out) == [[-1, 1], [0, -1]]
+
+
+def test_seifert_past_the_rank_cap_exits_2(capsys):
+    word = f"1^{seifert.MAX_RANK + 3}"  # a knot of rank MAX_RANK + 2
+    code, out, err = run_cli(capsys, "seifert", word, "--strands", "2")
+    assert code == 2
+    assert out == ""
+    assert f"more than the limit of {seifert.MAX_RANK}" in err
 
 
 def test_alexander_output(capsys):
@@ -336,6 +344,65 @@ def test_conj_negative(capsys):
     code, out, _ = run_cli(capsys, "conj", "1^3", "-1^3", "--strands", "2")
     assert code == 0
     assert out.strip() == "not conjugate"
+
+
+def test_conj_past_the_strand_cap_exits_2(capsys, monkeypatch):
+    def listed(n):
+        raise AssertionError(f"listed the simple elements of {n} strands")
+
+    monkeypatch.setattr(garside, "_nontrivial_simples", listed)
+    strands = str(garside.MAX_CONJUGACY_STRANDS + 1)
+    code, out, err = run_cli(capsys, "conj", "1", "8", "--strands", strands)
+    assert code == 2
+    assert out == ""
+    assert "at most 8 strands" in err
+
+
+def tau_chain(nodes: int, edges: int) -> dict:
+    """A chain listed head first with its one known tau at the tail, the
+    slowest shape to propagate: one node per round.  Edges past the chain
+    repeat its first one."""
+    names = [f"n{i}" for i in range(nodes)]
+    chain = [[a, b] for a, b in zip(names, names[1:])]
+    nodes = [{"name": name} for name in names]
+    nodes[-1]["tau"] = 0
+    return {"nodes": nodes, "edges": (chain + chain[:1] * edges)[:edges]}
+
+
+def test_tau_graph_at_its_caps(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(tau_chain(cli.MAX_TAU_NODES, cli.MAX_TAU_EDGES)))
+    code, out, _ = run_cli(capsys, "tau", str(path))
+    assert code == 0
+    intervals = json.loads(out)
+    assert len(intervals) == cli.MAX_TAU_NODES
+    assert intervals["n0"] == {"lower": -(cli.MAX_TAU_NODES - 1), "upper": 0}
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [(cli.MAX_TAU_NODES + 1, cli.MAX_TAU_NODES), (2, cli.MAX_TAU_EDGES + 1)],
+)
+def test_tau_graph_past_its_caps_exits_2(tmp_path, capsys, nodes, edges):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(tau_chain(nodes, edges)))
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 2
+    assert out == ""
+    assert "more than the limits" in err
+
+
+def test_tau_file_past_its_byte_cap_exits_2(tmp_path, capsys):
+    graph = json.dumps(tau_chain(2, 1))
+    path = tmp_path / "graph.json"
+    path.write_text(graph + " " * (cli.MAX_TAU_BYTES - len(graph)))
+    code, _, _ = run_cli(capsys, "tau", str(path))
+    assert code == 0
+    path.write_text(graph + " " * (cli.MAX_TAU_BYTES + 1 - len(graph)))
+    code, out, err = run_cli(capsys, "tau", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"exceeds {cli.MAX_TAU_BYTES} bytes" in err
 
 
 def test_tau_graph_file(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bennequin import garside
-
+from bennequin.alexander import reduced_burau
 from bennequin.braid import (
     BraidWord,
     family_type1_word,
@@ -18,6 +18,7 @@ from bennequin.braid import (
     inverse_word,
 )
 from bennequin.garside import (
+    MAX_CONJUGACY_STRANDS,
     SearchBudgetExceeded,
     _conjugate_nf,
     _cycle,
@@ -28,8 +29,14 @@ from bennequin.garside import (
     verify_certificate,
     words_equal,
 )
-from bennequin.rewrite import rewriting_equal
-from oracles import conjugate, normal_form_word, perm_letters, random_words
+from oracles import (
+    conjugate,
+    normal_form_word,
+    perm_letters,
+    random_words,
+    rewriting_equal,
+    word_pairs,
+)
 
 
 def test_defining_relation():
@@ -197,6 +204,40 @@ def test_words_equal_agrees_with_rewriting_oracle():
         assert rewriting_equal(w1, w2) == words_equal(w1, w2)
 
 
+# w against Delta^2 w, equal since the full twist is central; bounded
+# rewriting with a 400,000-word cap gave up on each of these pairs
+FULL_TWIST = (1, 2, 1, 2, 1, 2)
+CENTRAL_PAIRS = (
+    (-2, -2, -1, -1, -2),
+    (-1, -1, -1, -1, 2, 2),
+    (-1, 2, -1, -1, 2, -1),
+    (-1, -1, 2, -1, -2),
+    (-2, -1, -1, -1, -2),
+    (-2, -2, -2, -2, -1, 2),
+    (-1, -1, -1, -2, -1, -1),
+    (-1, -2, -2, -1, -2, -1),
+)
+
+
+def test_burau_matrix_and_normal_forms_decide_the_same_pairs():
+    # the reduced Burau representation is faithful on 3 strands
+    pairs = [
+        (BraidWord(3, w + FULL_TWIST), BraidWord(3, FULL_TWIST + w))
+        for w in CENTRAL_PAIRS
+    ]
+    for w1, w2 in pairs:
+        assert words_equal(w1, w2)
+        assert reduced_burau(w1) == reduced_burau(w2)
+    # half the pairs are equal by construction, the rest are drawn freely
+    pairs = word_pairs(random.Random(71), 3000, max_len=14)
+    equal = 0
+    for w1, w2 in pairs:
+        same = words_equal(w1, w2)
+        assert same == (reduced_burau(w1) == reduced_burau(w2)), (w1, w2)
+        equal += same
+    assert 1500 <= equal < 3000
+
+
 def test_family_conjugacy_certificates():
     for n in (1, 2, 3):
         w, u = family_word(n), family_type1_word(n)
@@ -237,6 +278,17 @@ def test_non_conjugate_same_exponent_sum():
 def test_conjugacy_strand_mismatch():
     with pytest.raises(ValueError):
         conjugacy_decide(BraidWord(2, (1,)), BraidWord(3, (1,)))
+
+
+def test_conjugacy_refuses_more_strands_than_its_cap(monkeypatch):
+    def listed(n):
+        raise AssertionError(f"listed the simple elements of {n} strands")
+
+    monkeypatch.setattr(garside, "_nontrivial_simples", listed)
+    strands = MAX_CONJUGACY_STRANDS + 1
+    first, last = BraidWord(strands, (1,)), BraidWord(strands, (strands - 1,))
+    with pytest.raises(ValueError, match="at most 8 strands"):
+        conjugacy_decide(first, last)
 
 
 def test_verify_certificate_basics():

@@ -19,12 +19,12 @@ from bennequin.garside import (
     normal_form,
     words_equal,
 )
-from bennequin.rewrite import rewriting_equal
 from oracles import (
     half_twist_conjugate,
     left_weight_factors,
     normal_form_defects,
     perm_inverse,
+    rewriting_equal,
     word_factors,
 )
 from strategies import letters, words

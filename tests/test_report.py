@@ -115,7 +115,7 @@ def test_family_report_deep_signature_cross_check():
 
 def test_defect_growth_check_compares_the_seifert_route(monkeypatch):
     # family_report takes the Burau route only; the registry holds the oracle
-    wrong = LaurentPoly.constant(1)
+    wrong = LaurentPoly.from_dict({0: 1})
     monkeypatch.setattr(checks, "alexander_from_seifert", lambda v: wrong)
     with pytest.raises(checks.CheckFailed, match="Seifert-route Alexander of K1"):
         checks._defect_growth(1, checks.SEED)

@@ -8,6 +8,7 @@ from bennequin.alexander import alexander_from_seifert, burau_alexander
 from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import congruence_diagonalize
 from bennequin.seifert import (
+    MAX_RANK,
     BandPresentation,
     DisconnectedSurfaceError,
     NotAKnotError,
@@ -177,3 +178,12 @@ def test_twist_chain_matches_algorithmic_signature():
             congruence_diagonalize(sym).signature
             == congruence_diagonalize(chain).signature
         )
+
+
+def test_rank_cap_is_checked_before_the_matrix_is_built():
+    # sigma_1^c closes to a knot for odd c, with rank c - 1: knot ranks are
+    # even, so MAX_RANK + 2 is the first one past the cap
+    at_cap = seifert_matrix(BraidWord(2, (1,) * (MAX_RANK + 1)))
+    assert len(at_cap.matrix) == MAX_RANK
+    with pytest.raises(ValueError, match=f"rank {MAX_RANK + 2} "):
+        seifert_matrix(BraidWord(2, (1,) * (MAX_RANK + 3)))
