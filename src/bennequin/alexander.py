@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components
+from .seifert import MAX_RANK
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,18 @@ def reduced_burau(w: BraidWord) -> list[list[dict[int, int]]]:
 
 
 def burau_alexander(w: BraidWord) -> LaurentPoly:
-    """Normalized Alexander polynomial of a knot closure via reduced Burau."""
+    """Normalized Alexander polynomial of a knot closure via reduced Burau.
+
+    Words of Seifert rank (letters - strands + 1) past ``seifert.MAX_RANK``
+    are refused before anything is built; the determinant's cost grows
+    about cubically with the length.
+    """
+    n = w.strands
+    rank = len(w.letters) - n + 1
+    if rank > MAX_RANK:
+        raise ValueError(f"Burau word rank {rank} is more than the limit of {MAX_RANK}")
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
-    n = w.strands
     cols = _burau_columns(w)
     mat = [[{e: -c for e, c in col[r].items()} for col in cols] for r in range(n - 1)]
     for r, row in enumerate(mat):  # I - B

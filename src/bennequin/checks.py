@@ -40,7 +40,7 @@ from .garside import conjugacy_decide, verify_certificate, words_equal
 from .report import family_report, g4_bounds
 from .seifert import family_four_ball_surface, seifert_matrix, twist_chain_matrix
 from .tau import TauConstraintGraph, TauNode, family_tau, propagate
-from .threebraid import s_bound_sharp, type1_recognize
+from .threebraid import family_type1_form, s_bound_sharp, type1_recognize
 
 SEED = 20260810
 
@@ -228,9 +228,9 @@ def _conjugacy(max_n: int, seed: int) -> str:
 def _s_invariant(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
+        # the search against the closed form: d, blocks and conjugator
         form = type1_recognize(family_word(n))
-        found = None if form is None else (form.d, form.blocks)
-        _expect(found, (1, ((1, 2 * n + 5),)), f"Type-1 form (d, blocks) of K{n}")
+        _expect(form, family_type1_form(n), f"Type-1 form of K{n}")
         _expect(form.s_invariant, -2 * n, f"s of K{n}")
     return f"s = -2n via d=1, a1=2n+5 for n=1..{top}"
 

@@ -44,7 +44,13 @@ from .braid import (
 from .garside import NODE_CAP, SearchBudgetExceeded
 from .seifert import family_four_ball_surface, seifert_matrix
 from .tau import Interval, family_tau
-from .threebraid import CANDIDATE_CAP, s_bound_sharp, type1_recognize
+from .threebraid import (
+    CANDIDATE_CAP,
+    Type1Form,
+    family_type1_form,
+    s_bound_sharp,
+    type1_recognize,
+)
 
 NOT_QUASIPOSITIVE = "not_quasipositive"
 UNKNOWN = "unknown"
@@ -166,12 +172,15 @@ def _pipeline(
     node_cap: int = NODE_CAP,
     four_ball_genus: int | None = None,
     tau: int | None = None,
+    type1_form: Type1Form | None = None,
 ) -> InvariantReport:
     """Report of a knot-closure word, each stage run once.
 
     ``four_ball_genus`` is the genus of a surface the knot bounds in the
     four-ball; without it the Seifert genus bounds g4 from above.  ``tau``
-    is a certified tau; without it tau stays unbounded.
+    is a certified tau; without it tau stays unbounded.  ``type1_form`` is
+    a Type-1 form with a verified conjugator onto w; without it a 3-strand
+    word is searched for one.
     """
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
@@ -186,13 +195,14 @@ def _pipeline(
     g4 = g4_bounds(sigma, g3_upper if four_ball_genus is None else four_ball_genus)
 
     s_value: SValue | None = None
-    if w.strands == 3:
+    form = type1_form
+    if form is None and w.strands == 3:
         try:
             form = type1_recognize(w, candidate_cap=candidate_cap, node_cap=node_cap)
         except SearchBudgetExceeded:
-            form = None
-        if form is not None and form.s_invariant is not None:
-            s_value = SValue(form.s_invariant, "type1-writhe")
+            pass
+    if form is not None and form.s_invariant is not None:
+        s_value = SValue(form.s_invariant, "type1-writhe")
 
     sl = self_linking(w)
     # the diagram value is SL only under the minimal-index assumption
@@ -225,8 +235,11 @@ def family_report(n: int) -> InvariantReport:
     """Full invariant report of the n-th family knot.
 
     The word pipeline runs with the family's certified inputs: the genus
-    of its four-ball surface and its propagated tau.  Every closed-form
-    identity the family satisfies is then checked on the finished report.
+    of its four-ball surface, its propagated tau and its Type-1 form with
+    the verified conjugator sigma_2^-1 sigma_1^-2
+    (:func:`threebraid.family_type1_form`), so no Type-1 search runs;
+    :func:`word_report` still searches.  Every closed-form identity the
+    family satisfies is then checked on the finished report.
     The second routes to its signature and Alexander polynomial (the
     twist-chain matrices, det(V - tV^T)) run in ``bennequin verify`` and
     the tests, not here.
@@ -241,6 +254,7 @@ def family_report(n: int) -> InvariantReport:
         assume_minimal_index=True,
         four_ball_genus=family_four_ball_surface(n).genus,
         tau=family_tau(n),
+        type1_form=family_type1_form(n),
     )
     sl, s, g4 = report.max_self_linking.value, report.s, report.g4
     _check(sl == -2 * n - 1, "self-linking = -2n-1")

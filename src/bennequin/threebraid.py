@@ -17,22 +17,31 @@ states it as its one ``s_bound_sharp`` field.
 Recognition enumerates candidate normal forms whose exponent sum matches
 the input, bounded by the input length, and tests each with the Garside
 conjugacy machinery; a braid outside the bounds is reported as
-unclassified (None) rather than guessed.
+unclassified (None) rather than guessed.  The built-in family needs no
+search: :func:`family_type1_form` checks the closed-form conjugator
+sigma_2^-1 sigma_1^-2 (:data:`FAMILY_CONJUGATOR`) onto h sigma_1
+sigma_2^-(2n+5) through normal forms instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, exponent_sum
+from .braid import BraidWord, closure_components, exponent_sum, family_word
 from .garside import (
     NODE_CAP,
     ConjugacyCertificate,
     SearchBudgetExceeded,
     conjugacy_decide,
+    verify_certificate,
 )
 
 FULL_TWIST = (1, 2, 1, 2, 1, 2)
+
+# sigma_2^-1 sigma_1^-2 conjugates h sigma_1 sigma_2^-(2n+5) onto
+# family_word(n); family_type1_form checks it for each n, and the Type-1
+# search finds this same word.
+FAMILY_CONJUGATOR = (-2, -1, -1)
 
 # Default budget of the Type-1 search, in candidate forms tested.
 CANDIDATE_CAP = 10**5
@@ -144,6 +153,21 @@ def type1_recognize(
                         if cert is not None:
                             return Type1Form(d, blocks, cert)
     return None
+
+
+def family_type1_form(n: int) -> Type1Form:
+    """Type-1 form of family_word(n) with its closed-form conjugator, verified.
+
+    The form is h sigma_1 sigma_2^-(2n+5) and the conjugator
+    :data:`FAMILY_CONJUGATOR`; :func:`garside.verify_certificate` decides
+    the conjugacy exactly through normal forms, and a failure raises
+    RuntimeError.
+    """
+    conjugator = BraidWord(3, FAMILY_CONJUGATOR)
+    form = Type1Form(1, ((1, 2 * n + 5),), ConjugacyCertificate(conjugator))
+    if not verify_certificate(form.word(), family_word(n), conjugator):
+        raise RuntimeError(f"family conjugator fails verification for K{n}")
+    return form
 
 
 def s_bound_sharp(w: BraidWord, s: int) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bennequin import alexander
 from bennequin.alexander import (
     LaurentPoly,
     _exact_div,
@@ -18,7 +19,7 @@ from bennequin.alexander import (
 from bennequin.braid import BraidWord, closure_components, family_word
 from bennequin.quadform import congruence_diagonalize
 from bennequin.report import word_report
-from bennequin.seifert import seifert_matrix, twist_chain_matrix
+from bennequin.seifert import MAX_RANK, seifert_matrix, twist_chain_matrix
 from oracles import (
     burau_product,
     cofactor_laurent_det,
@@ -144,6 +145,19 @@ def test_burau_unknot():
 def test_burau_rejects_links():
     with pytest.raises(ValueError, match="component"):
         burau_alexander(BraidWord(2, (1, 1)))
+
+
+def test_burau_rank_cap_is_checked_before_anything_is_built(monkeypatch):
+    # sigma_1^c on 2 strands is a knot of rank c - 1 for odd c
+    at_cap = burau_alexander(BraidWord(2, (1,) * (MAX_RANK + 1)))
+    assert len(at_cap.coeffs) == MAX_RANK + 1
+
+    def refuse(w):
+        raise AssertionError("the Burau matrix was built past the rank cap")
+
+    monkeypatch.setattr(alexander, "_burau_columns", refuse)
+    with pytest.raises(ValueError, match=f"rank {MAX_RANK + 2} "):
+        burau_alexander(BraidWord(2, (1,) * (MAX_RANK + 3)))
 
 
 def test_burau_letter_matrices_invert():

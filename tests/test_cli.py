@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bennequin import checks, cli, garside, quadform, seifert
+from bennequin import checks, cli, garside, quadform, seifert, threebraid
 from bennequin.braid import BraidWord
 from bennequin.cli import run
 from bennequin.garside import ConjugacyCertificate
@@ -118,6 +118,22 @@ def test_alexander_output(capsys):
     code, out, _ = run_cli(capsys, "alexander", "1 1 1", "--strands", "2")
     assert code == 0
     assert out.strip() == "-1:1 0:-1 1:1"
+
+
+def test_alexander_past_the_rank_cap_exits_2(capsys):
+    word = f"1^{seifert.MAX_RANK + 3}"  # a knot of rank MAX_RANK + 2
+    code, out, err = run_cli(capsys, "alexander", word, "--strands", "2")
+    assert code == 2
+    assert out == ""
+    assert f"more than the limit of {seifert.MAX_RANK}" in err
+
+
+def test_family_with_a_wrong_conjugator_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(threebraid, "FAMILY_CONJUGATOR", (-2, -1))
+    code, out, err = run_cli(capsys, "family", "--n", "2", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "conjugator fails verification for K2" in err
 
 
 def test_signature_matrix_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bennequin import checks
+from bennequin import checks, garside, report, threebraid
 from bennequin.alexander import LaurentPoly
 from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import congruence_diagonalize
@@ -119,6 +119,35 @@ def test_defect_growth_check_compares_the_seifert_route(monkeypatch):
     monkeypatch.setattr(checks, "alexander_from_seifert", lambda v: wrong)
     with pytest.raises(checks.CheckFailed, match="Seifert-route Alexander of K1"):
         checks._defect_growth(1, checks.SEED)
+
+
+def test_family_report_runs_no_type1_search(monkeypatch):
+    # the family's Type-1 form comes from its verified closed-form conjugator
+    def refuse(*args, **kwargs):
+        raise AssertionError("family_report searched for a Type-1 form")
+
+    monkeypatch.setattr(report, "type1_recognize", refuse)
+    monkeypatch.setattr(garside, "conjugacy_decide", refuse)
+    monkeypatch.setattr(threebraid, "conjugacy_decide", refuse)
+    for n in range(1, 19):
+        result = family_report(n)
+        assert result.s == report.SValue(-2 * n, "type1-writhe")
+
+
+def test_family_report_refuses_a_wrong_conjugator(monkeypatch):
+    monkeypatch.setattr(threebraid, "FAMILY_CONJUGATOR", (-2, -1))
+    with pytest.raises(RuntimeError, match="conjugator fails verification for K2"):
+        family_report(2)
+
+
+def test_s_invariant_check_compares_the_search_with_the_closed_form(monkeypatch):
+    def other_conjugator(n):
+        form = threebraid.family_type1_form(n)
+        return replace(form, certificate=garside.ConjugacyCertificate(family_word(n)))
+
+    monkeypatch.setattr(checks, "family_type1_form", other_conjugator)
+    with pytest.raises(checks.CheckFailed, match="Type-1 form of K1"):
+        checks._s_invariant(1, checks.SEED)
 
 
 def test_identity_check_error_names_the_identity():

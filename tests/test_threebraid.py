@@ -17,7 +17,9 @@ from bennequin.garside import (
     verify_certificate,
 )
 from bennequin.threebraid import (
+    FAMILY_CONJUGATOR,
     Type1Form,
+    family_type1_form,
     s_bound_sharp,
     type1_recognize,
     type1_word,
@@ -46,6 +48,21 @@ def test_family_recognition():
         assert form.d == 1
         assert form.blocks == ((1, 2 * n + 5),)
         assert verify_certificate(form.word(), family_word(n), form.certificate.conjugator)
+    # the search is the oracle of the closed-form conjugator
+    for n in range(1, 9):
+        assert type1_recognize(family_word(n)) == family_type1_form(n)
+    for n in range(1, 51):
+        assert family_type1_word(n) == type1_word(1, ((1, 2 * n + 5),))
+
+
+def test_family_type1_form_verifies():
+    # up to n = 497, the largest family index under the Seifert rank cap
+    conjugator = BraidWord(3, FAMILY_CONJUGATOR)
+    for n in [*range(1, 31), 497]:
+        form = family_type1_form(n)
+        assert form == Type1Form(1, ((1, 2 * n + 5),), ConjugacyCertificate(conjugator))
+        assert verify_certificate(form.word(), family_word(n), conjugator)
+        assert form.s_invariant == -2 * n
 
 
 def test_type1_conjugate_spelling_recognized_identically():
