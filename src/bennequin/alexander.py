@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components
-from .seifert import MAX_RANK
+from .seifert import check_rank
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,12 @@ def reduced_burau(w: BraidWord) -> list[list[dict[int, int]]]:
 def burau_alexander(w: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of a knot closure via reduced Burau.
 
-    Words of Seifert rank (letters - strands + 1) past ``seifert.MAX_RANK``
-    are refused before anything is built; the determinant's cost grows
-    about cubically with the length.
+    Words of Seifert rank past ``seifert.MAX_RANK`` are refused before
+    anything is built (:func:`seifert.check_rank`); the determinant's cost
+    grows about cubically with the length.
     """
+    check_rank(w, "Burau word")
     n = w.strands
-    rank = len(w.letters) - n + 1
-    if rank > MAX_RANK:
-        raise ValueError(f"Burau word rank {rank} is more than the limit of {MAX_RANK}")
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
     cols = _burau_columns(w)

@@ -228,9 +228,15 @@ def _conjugacy(max_n: int, seed: int) -> str:
 def _s_invariant(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
-        # the search against the closed form: d, blocks and conjugator
-        form = type1_recognize(family_word(n))
-        _expect(form, family_type1_form(n), f"Type-1 form of K{n}")
+        # the search against the verified closed form; conjugators are not
+        # unique, so the search's own is verified rather than compared
+        w = family_word(n)
+        form = type1_recognize(w)
+        closed = family_type1_form(n)
+        found = None if form is None else (form.d, form.blocks)
+        _expect(found, (closed.d, closed.blocks), f"Type-1 form (d, blocks) of K{n}")
+        verified = verify_certificate(form.word(), w, form.certificate.conjugator)
+        _expect(verified, True, f"Type-1 conjugator of K{n}")
         _expect(form.s_invariant, -2 * n, f"s of K{n}")
     return f"s = -2n via d=1, a1=2n+5 for n=1..{top}"
 

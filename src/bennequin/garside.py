@@ -325,14 +325,19 @@ def _nontrivial_simples(n: int) -> list[Perm]:
 
 
 def conjugacy_decide(
-    w1: BraidWord, w2: BraidWord, node_cap: int = NODE_CAP
+    w1: BraidWord,
+    w2: BraidWord,
+    node_cap: int = NODE_CAP,
+    conjugator: BraidWord | None = None,
 ) -> ConjugacyCertificate | None:
     """Decide conjugacy; on success return c with w2 = c * w1 * c^-1.
 
     Explores the super summit set of w1 while tracking conjugators.  The
     node cap turns pathological inputs into :class:`SearchBudgetExceeded`
     rather than an unbounded search; more than
-    :data:`MAX_CONJUGACY_STRANDS` strands raise ValueError.
+    :data:`MAX_CONJUGACY_STRANDS` strands raise ValueError.  A given
+    ``conjugator`` is tried first: when :func:`verify_certificate` accepts
+    it, it is the certificate and no summit is searched.
     """
     if w1.strands != w2.strands:
         raise ValueError("strand counts differ")
@@ -340,6 +345,8 @@ def conjugacy_decide(
         raise ValueError(f"conjugacy takes at most {MAX_CONJUGACY_STRANDS} strands")
     if exponent_sum(w1) != exponent_sum(w2):
         return None
+    if conjugator is not None and verify_certificate(w1, w2, conjugator):
+        return ConjugacyCertificate(conjugator)
     nf1, nf2 = normal_form(w1), normal_form(w2)
     if nf1 == nf2:
         return ConjugacyCertificate(BraidWord(w1.strands, ()))

@@ -237,7 +237,8 @@ def family_report(n: int) -> InvariantReport:
     The word pipeline runs with the family's certified inputs: the genus
     of its four-ball surface, its propagated tau and its Type-1 form with
     the verified conjugator sigma_2^-1 sigma_1^-2
-    (:func:`threebraid.family_type1_form`), so no Type-1 search runs;
+    (:func:`threebraid.family_type1_form`), which Type-1 recognition
+    tries on its first candidate, so no summit search runs;
     :func:`word_report` still searches.  Every closed-form identity the
     family satisfies is then checked on the finished report.
     The second routes to its signature and Alexander polynomial (the

@@ -76,15 +76,22 @@ class BandPresentation:
         return (1 - self.euler_characteristic) // 2
 
 
+def check_rank(w: BraidWord, what: str) -> int:
+    """The word's Seifert rank, letters - strands + 1; ValueError past MAX_RANK.
+
+    The rank is that of the Seifert matrix once every column is used; it
+    is read from the word, so callers check it before building anything.
+    """
+    rank = len(w.letters) - w.strands + 1
+    if rank > MAX_RANK:
+        raise ValueError(f"{what} rank {rank} is more than the limit of {MAX_RANK}")
+    return rank
+
+
 def seifert_matrix(w: BraidWord) -> SeifertData:
     """Seifert matrix of a knot closure from the disk-band surface."""
+    rank = check_rank(w, "Seifert matrix")
     n = w.strands
-    # the rank once every column is used, checked before anything is built
-    rank = len(w.letters) - n + 1
-    if rank > MAX_RANK:
-        raise ValueError(
-            f"Seifert matrix rank {rank} is more than the limit of {MAX_RANK}"
-        )
     used = {abs(k) for k in w.letters}
     if used != set(range(1, n)):
         missing = sorted(set(range(1, n)) - used)

@@ -18,9 +18,10 @@ Recognition enumerates candidate normal forms whose exponent sum matches
 the input, bounded by the input length, and tests each with the Garside
 conjugacy machinery; a braid outside the bounds is reported as
 unclassified (None) rather than guessed.  The built-in family needs no
-search: :func:`family_type1_form` checks the closed-form conjugator
-sigma_2^-1 sigma_1^-2 (:data:`FAMILY_CONJUGATOR`) onto h sigma_1
-sigma_2^-(2n+5) through normal forms instead.
+summit search: :func:`family_type1_form` hands recognition the
+closed-form conjugator sigma_2^-1 sigma_1^-2 (:data:`FAMILY_CONJUGATOR`),
+which conjugates the first candidate, h sigma_1 sigma_2^-(2n+5), onto
+K_n and is checked through normal forms.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from .garside import (
     ConjugacyCertificate,
     SearchBudgetExceeded,
     conjugacy_decide,
-    verify_certificate,
 )
 
 FULL_TWIST = (1, 2, 1, 2, 1, 2)
 
 # sigma_2^-1 sigma_1^-2 conjugates h sigma_1 sigma_2^-(2n+5) onto
-# family_word(n); family_type1_form checks it for each n, and the Type-1
-# search finds this same word.
+# family_word(n); family_type1_form checks it for each n, and the summit
+# search finds this same word for n = 1 to 8.
 FAMILY_CONJUGATOR = (-2, -1, -1)
 
 # Default budget of the Type-1 search, in candidate forms tested.
@@ -109,6 +109,7 @@ def type1_recognize(
     w: BraidWord,
     candidate_cap: int = CANDIDATE_CAP,
     node_cap: int = NODE_CAP,
+    conjugator: BraidWord | None = None,
 ) -> Type1Form | None:
     """Search for a Type-1 normal form conjugate to w.
 
@@ -116,7 +117,9 @@ def type1_recognize(
     total sigma_1 exponent, then block count; the sigma_2 total is forced
     by the exponent sum.  Returns the first conjugate candidate with the
     certificate :func:`conjugacy_decide` produced, or None if the bounded
-    family holds no match.  The certificate is not re-checked here; callers
+    family holds no match.  A given ``conjugator`` is passed on to
+    :func:`conjugacy_decide`, which tries it on each candidate before
+    searching.  A searched certificate is not re-checked here; callers
     that need proof pass it to :func:`garside.verify_certificate`.
     Raises :class:`SearchBudgetExceeded` when the candidate cap is hit, a
     distinct outcome from a completed no-match search.
@@ -149,7 +152,9 @@ def type1_recognize(
                         candidate = type1_word(d, blocks)
                         if closure_components(candidate) != components:
                             continue
-                        cert = conjugacy_decide(candidate, w, node_cap=node_cap)
+                        cert = conjugacy_decide(
+                            candidate, w, node_cap=node_cap, conjugator=conjugator
+                        )
                         if cert is not None:
                             return Type1Form(d, blocks, cert)
     return None
@@ -158,14 +163,14 @@ def type1_recognize(
 def family_type1_form(n: int) -> Type1Form:
     """Type-1 form of family_word(n) with its closed-form conjugator, verified.
 
-    The form is h sigma_1 sigma_2^-(2n+5) and the conjugator
-    :data:`FAMILY_CONJUGATOR`; :func:`garside.verify_certificate` decides
-    the conjugacy exactly through normal forms, and a failure raises
-    RuntimeError.
+    The form is h sigma_1 sigma_2^-(2n+5), the first candidate of
+    :func:`type1_recognize`, and the conjugator :data:`FAMILY_CONJUGATOR`,
+    which recognition tries first and :func:`garside.verify_certificate`
+    checks through normal forms.  Any other outcome raises RuntimeError.
     """
     conjugator = BraidWord(3, FAMILY_CONJUGATOR)
     form = Type1Form(1, ((1, 2 * n + 5),), ConjugacyCertificate(conjugator))
-    if not verify_certificate(form.word(), family_word(n), conjugator):
+    if type1_recognize(family_word(n), conjugator=conjugator) != form:
         raise RuntimeError(f"family conjugator fails verification for K{n}")
     return form
 

@@ -246,6 +246,19 @@ def test_family_conjugacy_certificates():
         assert verify_certificate(w, u, cert.conjugator)
 
 
+def test_a_given_conjugator_is_tried_before_the_summit_search(monkeypatch):
+    w, u = family_word(3), family_type1_word(3)
+    searched = conjugacy_decide(w, u).conjugator
+    wrong = BraidWord(3, (1,))
+    assert conjugacy_decide(w, u, conjugator=wrong).conjugator == searched
+
+    def refuse(nf):
+        raise AssertionError("searched the summit of a verified pair")
+
+    monkeypatch.setattr(garside, "_summit", refuse)
+    assert conjugacy_decide(w, u, conjugator=searched).conjugator == searched
+
+
 def test_exponent_sum_fast_reject():
     assert conjugacy_decide(BraidWord(2, (1, 1, 1)), BraidWord(2, (-1, -1, -1))) is None
 

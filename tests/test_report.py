@@ -121,14 +121,13 @@ def test_defect_growth_check_compares_the_seifert_route(monkeypatch):
         checks._defect_growth(1, checks.SEED)
 
 
-def test_family_report_runs_no_type1_search(monkeypatch):
+def test_family_report_runs_no_summit_search(monkeypatch):
     # the family's Type-1 form comes from its verified closed-form conjugator
     def refuse(*args, **kwargs):
         raise AssertionError("family_report searched for a Type-1 form")
 
     monkeypatch.setattr(report, "type1_recognize", refuse)
-    monkeypatch.setattr(garside, "conjugacy_decide", refuse)
-    monkeypatch.setattr(threebraid, "conjugacy_decide", refuse)
+    monkeypatch.setattr(garside, "_summit", refuse)
     for n in range(1, 19):
         result = family_report(n)
         assert result.s == report.SValue(-2 * n, "type1-writhe")
@@ -141,12 +140,20 @@ def test_family_report_refuses_a_wrong_conjugator(monkeypatch):
 
 
 def test_s_invariant_check_compares_the_search_with_the_closed_form(monkeypatch):
-    def other_conjugator(n):
-        form = threebraid.family_type1_form(n)
-        return replace(form, certificate=garside.ConjugacyCertificate(family_word(n)))
+    def other_blocks(n):
+        return replace(threebraid.family_type1_form(n), blocks=((1, 2 * n + 3),))
 
-    monkeypatch.setattr(checks, "family_type1_form", other_conjugator)
-    with pytest.raises(checks.CheckFailed, match="Type-1 form of K1"):
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "family_type1_form", other_blocks)
+        with pytest.raises(checks.CheckFailed, match=r"Type-1 form \(d, blocks\) of K1"):
+            checks._s_invariant(1, checks.SEED)
+
+    def wrong_conjugator(w):
+        form = threebraid.type1_recognize(w)
+        return replace(form, certificate=garside.ConjugacyCertificate(w))
+
+    monkeypatch.setattr(checks, "type1_recognize", wrong_conjugator)
+    with pytest.raises(checks.CheckFailed, match="Type-1 conjugator of K1"):
         checks._s_invariant(1, checks.SEED)
 
 
