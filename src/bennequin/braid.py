@@ -75,21 +75,27 @@ class ClosurePermutation:
         return cycles
 
 
-_TOKEN = re.compile(r"([+-]?\d+)(?:\^(\d+))?")
+_TOKEN = re.compile(r"([+-]?)([0-9]+)(?:\^([0-9]+))?")
 
 # Longest word parse_braid builds.  Far beyond what the Seifert, Burau and
 # Garside stages finish on, and small enough that k^m text cannot ask for
 # an unbounded list.
 MAX_LETTERS = 100_000
+# Most digits a number in braid text may have after its leading zeros:
+# more make it larger than MAX_LETTERS, and are refused before int() reads
+# them.
+_MAX_DIGITS = len(str(MAX_LETTERS))
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace/comma-separated tokens into a braid word.
 
     Each token is a signed generator index ``k`` or a repetition ``k^m``
-    with m >= 1, which expands to m copies of k.  The strand count is never
-    inferred from the text.  A word longer than :data:`MAX_LETTERS` is
-    rejected before it is expanded.
+    with m >= 1, which expands to m copies of k, both in ASCII digits.  The
+    strand count is never inferred from the text.  A number longer than
+    :data:`MAX_LETTERS` written out, leading zeros aside, is rejected before
+    it is converted, and a word longer than :data:`MAX_LETTERS` letters
+    before it is expanded.
     """
     if strands < 1:
         raise ParseError("a braid needs at least one strand")
@@ -98,14 +104,26 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         m = _TOKEN.fullmatch(tok)
         if m is None:
             raise ParseError(f"token {tok!r} is not a signed integer or k^m")
-        k = int(m.group(1))
+        sign, index, count = m.groups()
+        # CPython's int() counts leading zeros towards its digit limit
+        index = index.lstrip("0") or "0"
+        count = None if count is None else count.lstrip("0") or "0"
+        if len(index) > _MAX_DIGITS:
+            raise ParseError(
+                f"generator index in {tok!r} has more than {_MAX_DIGITS} digits"
+            )
+        if len(count or "") > _MAX_DIGITS:
+            raise ParseError(
+                f"repetition count in {tok!r} exceeds the letter limit of {MAX_LETTERS}"
+            )
+        k = int(sign + index)
         if k == 0:
             raise ParseError("generator index 0 is not allowed")
         if abs(k) >= strands:
             raise ParseError(f"generator {k} out of range for {strands} strands")
         rep = 1
-        if m.group(2) is not None:
-            rep = int(m.group(2))
+        if count is not None:
+            rep = int(count)
             if rep < 1:
                 raise ParseError(f"repetition count in {tok!r} must be >= 1")
         if len(letters) + rep > MAX_LETTERS:

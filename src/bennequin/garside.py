@@ -17,6 +17,12 @@ cycling step or by a simple element of the search, is normalised on its
 factor tuple (``_conjugate_nf``), never by spelling the form back as a
 word.
 
+A conjugator is checked by :func:`verify_certificate`.  Up to 3 strands
+it compares reduced Burau matrices, which are faithful there (Birman,
+*Braids, Links, and Mapping Class Groups*, 1974, ch. 3), so the check
+builds no normal form and is independent of the search that found the
+conjugator; from 4 strands on it compares normal forms.
+
 A product is left-weighted only where it changed (Epstein et al., *Word
 Processing in Groups*, ch. 9; Elrifai and Morton, Quart. J. Math. 45
 (1994)).  Multiplying a left-weighted list by a simple factor on the right
@@ -40,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
+from .alexander import reduced_burau
 from .braid import BraidWord, concat, exponent_sum, free_reduce, inverse_word
 
 Perm = tuple[int, ...]
@@ -401,7 +408,20 @@ def conjugacy_decide(
 
 
 def verify_certificate(w1: BraidWord, w2: BraidWord, c: BraidWord) -> bool:
-    """True iff w2 = c * w1 * c^-1 in the braid group."""
+    """True iff w2 = c * w1 * c^-1 in the braid group.
+
+    Decided as w2 * c = c * w1, so neither side needs an inverse.  Up to 3
+    strands the reduced Burau matrices of the two products are compared:
+    the representation is faithful there (Birman, *Braids, Links, and
+    Mapping Class Groups*, 1974, ch. 3), so equal matrices mean equal
+    braids, and the check is independent of the normal forms that the
+    search for a conjugator uses.  From 4 strands on normal forms decide:
+    Burau is not faithful from 5 strands (Bigelow, Geom. Topol. 3 (1999))
+    and its faithfulness on 4 is open.
+    """
     if not (w1.strands == w2.strands == c.strands):
         raise ValueError("strand counts differ")
-    return words_equal(w2, concat(concat(c, w1), inverse_word(c)))
+    left, right = concat(w2, c), concat(c, w1)
+    if w1.strands <= 3:
+        return reduced_burau(left) == reduced_burau(right)
+    return words_equal(left, right)

@@ -70,6 +70,20 @@ def test_parse_letter_limit():
     assert peak < 10**6  # rejected before any expansion
 
 
+def test_parse_long_digit_runs_and_non_ascii_digits():
+    # past CPython's 4,300-digit limit of int(), which counts leading zeros
+    huge = "9" * 5000
+    with pytest.raises(ParseError, match="generator index in '9+' has more than 6"):
+        parse_braid(huge, strands=3)
+    with pytest.raises(ParseError, match=r"repetition count in '1\^9+' exceeds"):
+        parse_braid(f"1^{huge}", strands=3)
+    zeros = "0" * 5000
+    assert parse_braid(f"-{zeros}2 1^{zeros}3", strands=3).letters == (-2, 1, 1, 1)
+    for text in ("１", "1^３", "-２"):  # fullwidth digits
+        with pytest.raises(ParseError, match="not a signed integer"):
+            parse_braid(text, strands=3)
+
+
 def test_print_parse_round_trip():
     rng = random.Random(11)
     for w in random_words(rng, 50, strands=4, max_len=10):

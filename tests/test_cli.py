@@ -356,6 +356,16 @@ def test_conj_rejects_a_wrong_conjugator(capsys, monkeypatch):
     assert "fails verification" in err
 
 
+def test_conj_rejects_a_wrong_conjugator_on_4_strands(capsys, monkeypatch):
+    # verify_certificate's normal-form route; 3 strands take the Burau route
+    wrong = ConjugacyCertificate(BraidWord(4, ()))
+    monkeypatch.setattr(cli, "conjugacy_decide", lambda *args, **kwargs: wrong)
+    code, out, err = run_cli(capsys, "conj", "1 3", "3 2", "--strands", "4")
+    assert code == 3
+    assert out == ""
+    assert "fails verification" in err
+
+
 def test_conj_negative(capsys):
     code, out, _ = run_cli(capsys, "conj", "1^3", "-1^3", "--strands", "2")
     assert code == 0

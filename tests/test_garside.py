@@ -12,6 +12,7 @@ from bennequin import garside
 from bennequin.alexander import reduced_burau
 from bennequin.braid import (
     BraidWord,
+    concat,
     family_type1_word,
     family_word,
     free_reduce,
@@ -309,6 +310,44 @@ def test_verify_certificate_basics():
     empty = BraidWord(3, ())
     assert verify_certificate(w, w, empty)
     assert not verify_certificate(BraidWord(3, (1,)), BraidWord(3, (2,)), empty)
+
+
+def test_verify_certificate_agrees_with_the_word_problem(monkeypatch):
+    # w2 = c w1 c^-1 exactly when w2 c = c w1; up to 3 strands the check
+    # compares Burau matrices, from 4 on normal forms.  A true w2 is spelled
+    # through its normal form, so it is equal to c w1 c^-1 in the braid
+    # group but not only by free cancellation.
+    rng = random.Random(83)
+    triples = [(BraidWord(1), BraidWord(1), BraidWord(1))]
+    for strands, count in ((2, 30), (3, 150), (4, 8)):
+        for w1, c in zip(*(random_words(rng, count, strands, 8) for _ in "wc")):
+            w2 = normal_form_word(normal_form(conjugate(w1, c)))
+            triples.append((w1, w2, c))
+            if not w2.letters:
+                continue
+            i = rng.randrange(len(w2.letters))
+            k = w2.letters[i]
+            moved = [-k]  # sign flipped
+            if strands > 2:  # index moved, exponent sum kept
+                moved.append((abs(k) % (strands - 1) + 1) * (1 if k > 0 else -1))
+            for letter in moved:
+                letters = w2.letters[:i] + (letter,) + w2.letters[i + 1 :]
+                triples.append((w1, BraidWord(strands, letters), c))
+    expected = [words_equal(concat(w2, c), concat(c, w1)) for w1, w2, c in triples]
+    assert 180 < sum(expected) < len(expected) - 250
+
+    def refuse(*args):
+        raise AssertionError("built a normal form on at most 3 strands")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(garside, "normal_form", refuse)
+        patch.setattr(garside, "words_equal", refuse)
+        for (w1, w2, c), want in zip(triples, expected):
+            if w1.strands <= 3:
+                assert verify_certificate(w1, w2, c) == want, (w1, w2, c)
+    for (w1, w2, c), want in zip(triples, expected):
+        if w1.strands == 4:
+            assert verify_certificate(w1, w2, c) == want, (w1, w2, c)
 
 
 def test_node_cap_raises_distinct_error():

@@ -133,6 +133,17 @@ def test_family_report_runs_no_summit_search(monkeypatch):
         assert result.s == report.SValue(-2 * n, "type1-writhe")
 
 
+def test_family_report_builds_no_normal_form(monkeypatch):
+    # the family's 3-strand certificate is checked through the Burau matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("family_report built a Garside normal form")
+
+    monkeypatch.setattr(garside, "normal_form", refuse)
+    for n in range(1, 19):
+        result = family_report(n)
+        assert result.s == report.SValue(-2 * n, "type1-writhe")
+
+
 def test_family_report_refuses_a_wrong_conjugator(monkeypatch):
     monkeypatch.setattr(threebraid, "FAMILY_CONJUGATOR", (-2, -1))
     with pytest.raises(RuntimeError, match="conjugator fails verification for K2"):
