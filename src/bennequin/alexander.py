@@ -2,8 +2,13 @@
 
 :func:`burau_alexander` evaluates the reduced Burau representation and uses
 det(I - B(w)) * (1 - t) / (1 - t^n); it is the route every report takes.
-:func:`reduced_burau` builds B(w) letter by letter as column updates on
-its Laurent polynomial entries, with no polynomial multiplication.
+:func:`reduced_burau` builds B(w) as column updates on its Laurent
+polynomial entries, one maximal run sigma_i^m of equal letters at a time,
+with no polynomial multiplication.  The letter matrix of sigma_i has
+eigenvalues 1 and -t, so a run of RUN letters or more takes one closed-form
+step whose numerators are divisible by 1 + t (:func:`_burau_columns`).  On
+3 strands det(I - B) = 1 - tr B + (-t)^e, e the exponent sum, because
+det rho(sigma_i) = -t.
 :func:`alexander_from_seifert` uses the classical det(V - t V^T) of a
 Seifert matrix and serves as its oracle in :mod:`bennequin.checks` and the
 tests.  Both normalize to the same canonical representative, so they can
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components
+from .braid import BraidWord, closure_components, exponent_sum
 from .seifert import check_rank
 
 
@@ -161,49 +166,156 @@ def alexander_from_seifert(v: list[list[int]]) -> LaurentPoly:
     return LaurentPoly.from_dict(normalize(_det(mat)))
 
 
+# Shortest run sigma_i^m that _burau_columns applies in closed form: the
+# shortest at which it is no slower than the letter steps it replaces.  On
+# the columns of random 4- to 7-strand knot words of 25 to 76 letters
+# (CPython 3.11, x86-64), one closed-form step took 1.34 times the time of
+# a run of 2 letter steps, 0.77 times that of 3 and 0.40 times that of 6.
+RUN = 3
+
+
+def _div_one_plus_t(num: dict[int, int]) -> dict[int, int]:
+    """num / (1 + t) by synthetic division, requiring it to be exact."""
+    if not num:
+        return {}
+    get = num.get
+    quot = {}
+    carry = 0  # the quotient's coefficient of t^(e-1)
+    top = max(num)
+    for e in range(min(num), top):
+        carry = get(e, 0) - carry
+        if carry:
+            quot[e] = carry
+    if num[top] != carry:
+        raise ValueError("polynomial division by 1 + t is not exact")
+    return quot
+
+
+def _burau_run(cols: list[list[dict[int, int]]], i: int, m: int) -> None:
+    """Apply sigma_i^m (m any nonzero integer) to the columns in one step.
+
+    With q = (-t)^m, sigma_i^m maps the column pair (a, b) to
+
+        a' = [(1 + q t) a + (1 - q) b] / (1 + t),   b' = a + b - a',
+
+    and sigma_{n-1}^m maps the last column, the others' sum in its row
+    being S, to
+
+        last' = q last - S (1 - q) / (1 + t).
+
+    Every numerator vanishes at t = -1, where q = 1, so each division is
+    exact; :func:`_burau_columns` derives both forms.
+    """
+    sign = -1 if m & 1 else 1  # q = sign * t^m
+    if i < len(cols):
+        new_a, new_b = [], []
+        for x, y in zip(cols[i - 1], cols[i]):
+            num: dict[int, int] = {}
+            get = num.get
+            for e, c in x.items():
+                num[e] = get(e, 0) + c
+                e += m + 1
+                num[e] = get(e, 0) + sign * c
+            for e, c in y.items():
+                num[e] = get(e, 0) + c
+                e += m
+                num[e] = get(e, 0) - sign * c
+            a = _div_one_plus_t(num)
+            b = y.copy()
+            for e, c in x.items():
+                b[e] = b.get(e, 0) + c
+            for e, c in a.items():
+                b[e] = b.get(e, 0) - c
+            new_a.append(a)
+            new_b.append({e: c for e, c in b.items() if c})
+        cols[i - 1], cols[i] = new_a, new_b
+    else:
+        new_last = []
+        for row in zip(*cols):
+            num = {}
+            get = num.get
+            for x in row[:-1]:
+                for e, c in x.items():
+                    num[e] = get(e, 0) + c
+                    e += m
+                    num[e] = get(e, 0) - sign * c
+            out = {e + m: sign * c for e, c in row[-1].items()}
+            for e, c in _div_one_plus_t(num).items():
+                out[e] = out.get(e, 0) - c
+            new_last.append({e: c for e, c in out.items() if c})
+        cols[-1] = new_last
+
+
 def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
     """Columns of the reduced Burau matrix of w, entries as dict polynomials.
 
-    The product is built left to right, each letter applied to the running
-    matrix as a column update: sigma_i and its inverse rewrite only columns
-    i-1 and i, and sigma_{n-1}^{+-1} folds the other columns into the last
-    one.  So it takes only additions, subtractions and shifts by t^{+-1}.
+    The product is built left to right, one maximal run sigma_i^m of equal
+    letters at a time, as column updates on the running matrix: sigma_i
+    rewrites only columns i-1 and i, as the matrix M = [[1-t, 1], [t, 0]]
+    acting on each row's pair, and sigma_{n-1} folds the other columns into
+    the last one, last <- -(sum of the others) - t last.  Runs shorter than
+    ``RUN`` go letter by letter, with only additions, subtractions and
+    shifts by t^{+-1}.
+
+    Longer runs take one closed-form step (:func:`_burau_run`).  M has trace
+    1 - t and determinant -t, so its eigenvalues are 1 and -t, and for every
+    integer m
+
+        M^m = [(M + t I) + (-t)^m (I - M)] / (1 + t),
+
+    the two terms being the spectral projections times their eigenvalues'
+    powers.  The fold is the affine map L -> -t L - S with the fixed point
+    -S / (1 + t), so m folds give (-t)^m L - S (1 - (-t)^m) / (1 + t).  At
+    t = -1 both eigenvalues are 1, so (-t)^m = 1 there and every numerator
+    vanishes: 1 + t divides each exactly, by synthetic division.
     """
     dim = w.strands - 1
     cols = [[{0: 1} if r == j else {} for r in range(dim)] for j in range(dim)]
-    for k in w.letters:
+    letters = w.letters
+    size = len(letters)
+    j = 0
+    while j < size:
+        k = letters[j]
+        end = j + 1
+        while end < size and letters[end] == k:
+            end += 1
+        count, j = end - j, end
         i = abs(k)
-        if i < dim:
-            # sigma_i:    a, b <- a + b - t a, t a
-            # sigma_i^-1: a, b <- b / t, a + b - b / t
-            s = 1 if k > 0 else -1
-            src, other = (cols[i - 1], cols[i]) if k > 0 else (cols[i], cols[i - 1])
-            moved, mixed = [], []
-            for x, y in zip(src, other):
-                out = y.copy()
-                for e, c in x.items():
-                    out[e] = out.get(e, 0) + c
-                    e += s
-                    out[e] = out.get(e, 0) - c
-                moved.append({e + s: c for e, c in x.items()})
-                mixed.append({e: c for e, c in out.items() if c})
-            cols[i - 1], cols[i] = (mixed, moved) if k > 0 else (moved, mixed)
-        else:
-            # sigma_{n-1}:    last <- -(sum of the others) - t last
-            # sigma_{n-1}^-1: last <- -(sum of all) / t
-            s, last_s = (0, 1) if k > 0 else (-1, -1)
-            new_last = []
-            for row in zip(*cols):
-                out: dict[int, int] = {}
-                for x in row[:-1]:
+        if count >= RUN:
+            _burau_run(cols, i, count if k > 0 else -count)
+            continue
+        for _ in range(count):
+            if i < dim:
+                # sigma_i:    a, b <- a + b - t a, t a
+                # sigma_i^-1: a, b <- b / t, a + b - b / t
+                s = 1 if k > 0 else -1
+                src, other = (cols[i - 1], cols[i]) if k > 0 else (cols[i], cols[i - 1])
+                moved, mixed = [], []
+                for x, y in zip(src, other):
+                    out = y.copy()
                     for e, c in x.items():
+                        out[e] = out.get(e, 0) + c
                         e += s
                         out[e] = out.get(e, 0) - c
-                for e, c in row[-1].items():
-                    e += last_s
-                    out[e] = out.get(e, 0) - c
-                new_last.append({e: c for e, c in out.items() if c})
-            cols[-1] = new_last
+                    moved.append({e + s: c for e, c in x.items()})
+                    mixed.append({e: c for e, c in out.items() if c})
+                cols[i - 1], cols[i] = (mixed, moved) if k > 0 else (moved, mixed)
+            else:
+                # sigma_{n-1}:    last <- -(sum of the others) - t last
+                # sigma_{n-1}^-1: last <- -(sum of all) / t
+                s, last_s = (0, 1) if k > 0 else (-1, -1)
+                new_last = []
+                for row in zip(*cols):
+                    out: dict[int, int] = {}
+                    for x in row[:-1]:
+                        for e, c in x.items():
+                            e += s
+                            out[e] = out.get(e, 0) - c
+                    for e, c in row[-1].items():
+                        e += last_s
+                        out[e] = out.get(e, 0) - c
+                    new_last.append({e: c for e, c in out.items() if c})
+                cols[-1] = new_last
     return cols
 
 
@@ -216,20 +328,36 @@ def reduced_burau(w: BraidWord) -> list[list[dict[int, int]]]:
 def burau_alexander(w: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of a knot closure via reduced Burau.
 
-    Words of Seifert rank past ``seifert.MAX_RANK`` are refused before
-    anything is built (:func:`seifert.check_rank`); the determinant's cost
-    grows about cubically with the length.
+    Delta(t) = det(I - B) (1 - t) / (1 - t^n), with B built run by run
+    (:func:`_burau_columns`).  On 3 strands B is 2 x 2, so det(I - B) =
+    1 - tr B + det B, and det B = (-t)^e with e the exponent sum, since
+    each det rho(sigma_i) = -t (Birman, *Braids, Links, and Mapping Class
+    Groups*, 1974, ch. 3): no polynomial product at all.  Other strand
+    counts take the Bareiss determinant, whose cost grows about cubically
+    with the length.  Words of Seifert rank past
+    ``seifert.MAX_RANK`` are refused before anything is built
+    (:func:`seifert.check_rank`).
     """
     check_rank(w, "Burau word")
     n = w.strands
     if closure_components(w) != 1:
         raise ValueError("closure has more than one component")
     cols = _burau_columns(w)
-    mat = [[{e: -c for e, c in col[r].items()} for col in cols] for r in range(n - 1)]
-    for r, row in enumerate(mat):  # I - B
-        one = row[r].pop(0, 0) + 1
-        if one:
-            row[r][0] = one
-    # Delta(t) = det(I - B) * (1 - t) / (1 - t^n); the quotient is exact.
-    delta = _exact_div(_det(mat), dict.fromkeys(range(n), 1))
+    if n == 3:
+        writhe = exponent_sum(w)
+        det = {0: 1}  # 1 - tr B + (-t)^writhe
+        det[writhe] = det.get(writhe, 0) + (-1 if writhe & 1 else 1)
+        for r in (0, 1):
+            for e, c in cols[r][r].items():
+                det[e] = det.get(e, 0) - c
+        det = {e: c for e, c in det.items() if c}
+    else:
+        mat = [[{e: -c for e, c in col[r].items()} for col in cols] for r in range(n - 1)]
+        for r, row in enumerate(mat):  # I - B
+            one = row[r].pop(0, 0) + 1
+            if one:
+                row[r][0] = one
+        det = _det(mat)
+    # the quotient by 1 + t + ... + t^(n-1) is exact
+    delta = _exact_div(det, dict.fromkeys(range(n), 1))
     return LaurentPoly.from_dict(normalize(delta))

@@ -194,6 +194,13 @@ def test_reduced_burau_matches_the_letter_matrix_product():
         assert reduced_burau(w) == burau_product(w), w
 
 
+def test_reduced_burau_of_a_long_2_strand_run():
+    # the fold alone: sigma_1^{+-m} is the 1 x 1 matrix (-t)^{+-m}
+    m = 999
+    for k in (1, -1):
+        assert reduced_burau(BraidWord(2, (k,) * m)) == [[{k * m: -1}]]
+
+
 def test_family_words_match_seifert_route():
     for n in range(1, 7):
         w = family_word(n)

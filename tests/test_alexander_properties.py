@@ -7,11 +7,13 @@ against the plain dict oracles of :mod:`oracles`.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bennequin.alexander import (
+    RUN,
     LaurentPoly,
+    _div_one_plus_t,
     _exact_div,
     alexander_from_seifert,
     burau_alexander,
@@ -23,7 +25,7 @@ from bennequin.braid import BraidWord
 from bennequin.quadform import congruence_diagonalize
 from bennequin.seifert import seifert_matrix
 from oracles import burau_product, cofactor_laurent_det, poly_add, poly_mul
-from strategies import SIGN, knot_words, letters
+from strategies import SIGN, knot_words, letters, run_words
 
 # fixed examples and no example database, so every run checks the same words
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -113,6 +115,21 @@ def test_burau_product_on_generated_words(w):
 
 
 @PROPERTY
+@example(BraidWord(2, (1,) * (RUN - 1) + (-1,) * RUN + (1,) * (RUN + 1)))
+@given(run_words())
+def test_burau_runs_match_the_letter_matrix_product(w):
+    # runs of RUN letters and more take _burau_columns' closed form
+    assert reduced_burau(w) == burau_product(w)
+
+
+@PROPERTY
+@given(run_words(strands=st.just(3), max_runs=3, knot=True))
+def test_burau_runs_and_seifert_routes_agree_on_3_strands(w):
+    # on 3 strands burau_alexander reads det(I - B) off the trace
+    assert burau_alexander(w) == alexander_from_seifert(seifert_rows(w))
+
+
+@PROPERTY
 @given(POLYS, NONZERO_POLYS, st.integers(-3, 3), st.sampled_from((-2, -1, 1, 2)))
 def test_exact_division_inverts_products_and_rejects_remainders(p, q, e, c):
     assert _exact_div(poly_mul(p, q), q) == p
@@ -122,6 +139,15 @@ def test_exact_division_inverts_products_and_rejects_remainders(p, q, e, c):
         return
     with pytest.raises(ValueError):
         _exact_div(poly_add(poly_mul(p, q), {e: c}), q)
+
+
+@PROPERTY
+@given(POLYS, st.integers(-3, 3), st.sampled_from((-2, -1, 1, 2)))
+def test_division_by_one_plus_t_inverts_products_and_rejects_remainders(p, e, c):
+    one_plus_t = {0: 1, 1: 1}
+    assert _div_one_plus_t(poly_mul(p, one_plus_t)) == p
+    with pytest.raises(ValueError):
+        _div_one_plus_t(poly_add(poly_mul(p, one_plus_t), {e: c}))
 
 
 def test_exact_division_by_zero():

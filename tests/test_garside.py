@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,20 @@ def test_verify_certificate_agrees_with_the_word_problem(monkeypatch):
     for (w1, w2, c), want in zip(triples, expected):
         if w1.strands == 4:
             assert verify_certificate(w1, w2, c) == want, (w1, w2, c)
+
+
+def test_verify_certificate_on_long_3_strand_runs():
+    # each run is one closed-form step of the Burau product: both checks
+    # take about 0.05 s, against about 15 s letter by letter
+    w = BraidWord(3, (1,) * 2000 + (-2,) * 2000)
+    c = BraidWord(3, (2, 1))
+    w2 = conjugate(w, c)
+    i = len(w2.letters) // 3
+    flipped = w2.letters[:i] + (-w2.letters[i],) + w2.letters[i + 1 :]
+    start = time.perf_counter()
+    assert verify_certificate(w, w2, c)
+    assert not verify_certificate(w, BraidWord(3, flipped), c)
+    assert time.perf_counter() - start < 2
 
 
 def test_node_cap_raises_distinct_error():
