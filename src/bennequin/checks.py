@@ -275,8 +275,7 @@ def _oracle_equivalence(max_n: int, seed: int) -> str:
         size = len(v)
         skew = [[{0: v[i][j] - v[j][i]} for j in range(size)] for i in range(size)]
         _expect(laurent_det(skew), {0: 1}, f"det(V - V^T) of {text}")
-        sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-        diag = quadform.congruence_diagonalize(sym)
+        diag = quadform.seifert_form_diagonalize(v)
         _expect(diag.signature % 2, 0, f"signature parity of {text}")
         alex = burau_alexander(w)
         seifert_route = alexander_from_seifert([list(r) for r in v])

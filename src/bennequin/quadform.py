@@ -233,12 +233,16 @@ def congruence_diagonalize(rows) -> CongruenceDiagnosis:
     )
 
 
+def seifert_form_diagonalize(v) -> CongruenceDiagnosis:
+    """:func:`congruence_diagonalize` of V + V^T for a Seifert matrix V."""
+    size = len(v)
+    sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
+    return congruence_diagonalize(sym)
+
+
 def knot_signature(w: BraidWord) -> int:
     """Signature of the closure of w: signature of V + V^T for a Seifert
     matrix V of the algorithmic closed-braid surface."""
     from .seifert import seifert_matrix
 
-    v = seifert_matrix(w).matrix
-    size = len(v)
-    sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-    return congruence_diagonalize(sym).signature
+    return seifert_form_diagonalize(seifert_matrix(w).matrix).signature

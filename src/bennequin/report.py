@@ -186,10 +186,7 @@ def _pipeline(
         raise ValueError("closure has more than one component")
     word = format_braid(w)
     data = seifert_matrix(w)
-    v = data.matrix
-    size = len(v)
-    sym = [[v[i][j] + v[j][i] for j in range(size)] for i in range(size)]
-    sigma = quadform.congruence_diagonalize(sym).signature
+    sigma = quadform.seifert_form_diagonalize(data.matrix).signature
     alex = burau_alexander(w)
     g3_upper = data.genus
     g4 = g4_bounds(sigma, g3_upper if four_ball_genus is None else four_ball_genus)

@@ -3,8 +3,9 @@
 Changing a negative crossing of A into a positive one produces B with
 tau(A) <= tau(B) <= tau(A) + 1.  A constraint graph records knots as named
 nodes (some with exact tau, e.g. torus knot leaves) and crossing changes
-as directed edges A -> B; propagating the edge inequality in both
-directions to a fixed point pins intervals for the unknown nodes.
+as directed edges A -> B.  Each edge is two difference constraints, so the
+tightest intervals are shortest-path distances from the known nodes
+(Cormen et al., *Introduction to Algorithms*, 3rd ed., section 24.4).
 
 Nodes are symbolic names, not diagrams: the claim that an edge really is a
 single crossing change is supplied as data, the arithmetic consequences
@@ -15,6 +16,7 @@ Reports use the same type for the four-ball genus bounds.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -66,64 +68,56 @@ class TauConstraintGraph:
                 raise ValueError(f"edge ({a}, {b}) has an unknown endpoint")
 
 
-def _max_lower(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _min_upper(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _shortest(graph: TauConstraintGraph, start: dict, forward: int, back: int) -> dict:
+    """Least start[u] + path cost from any u in ``start`` to each node it
+    reaches (Dijkstra); an edge a -> b costs ``forward`` from a to b and
+    ``back`` from b to a."""
+    steps: dict[str, list] = {node.name: [] for node in graph.nodes}
+    for a, b in graph.edges:
+        steps[a].append((forward, b))
+        steps[b].append((back, a))
+    heap = [(d, name) for name, d in start.items()]
+    heapq.heapify(heap)
+    dist: dict[str, int] = {}
+    while heap:
+        d, name = heapq.heappop(heap)
+        if name not in dist:
+            dist[name] = d
+            for cost, other in steps[name]:
+                if other not in dist:
+                    heapq.heappush(heap, (d + cost, other))
+    return dist
 
 
 def propagate(graph: TauConstraintGraph) -> dict[str, Interval]:
-    """Tighten intervals along all edges to a fixed point.
+    """The tightest intervals the edges allow.
 
     Each edge a -> b yields tau(b) in [lower(a), upper(a) + 1] and
-    tau(a) in [lower(b) - 1, upper(b)].  Exact nodes start as point
-    intervals, others unbounded.  Raises
-    :class:`PropagationContradiction` naming the node whose interval
-    emptied and its incident edges.
+    tau(a) in [lower(b) - 1, upper(b)].  So the upper end of a node is the
+    least tau(u) + path cost over known nodes u, where an edge a -> b costs
+    1 from a to b and 0 from b to a; the lower end is minus the same search
+    run on -tau with the two costs swapped.  An end no known node reaches
+    stays None.  Relaxing the edges to a fixed point gives exactly these
+    ends, since each relaxation is one step of such a path and ends only
+    tighten; so it empties an interval exactly when they do.  Raises
+    :class:`PropagationContradiction` naming the first node, in the graph's
+    order, whose interval is empty, and its incident edges.
     """
-    lower: dict[str, int | None] = {}
-    upper: dict[str, int | None] = {}
+    known = {node.name: node.tau for node in graph.nodes if node.tau is not None}
+    upper = _shortest(graph, known, 1, 0)
+    negated = _shortest(graph, {name: -tau for name, tau in known.items()}, 0, 1)
+    intervals = {}
     for node in graph.nodes:
-        lower[node.name] = node.tau
-        upper[node.name] = node.tau
-
-    def tighten(name: str, new_lower: int | None, new_upper: int | None) -> bool:
-        lo = _max_lower(lower[name], new_lower)
-        hi = _min_upper(upper[name], new_upper)
-        if lo is not None and hi is not None and lo > hi:
+        name = node.name
+        lo, hi = (-negated[name], upper[name]) if name in upper else (None, None)
+        if lo is not None and lo > hi:
             incident = [e for e in graph.edges if name in e]
             raise PropagationContradiction(
                 f"node {name!r} forced into empty interval [{lo}, {hi}]"
                 f" by edges {incident}"
             )
-        changed = (lo, hi) != (lower[name], upper[name])
-        lower[name], upper[name] = lo, hi
-        return changed
-
-    max_rounds = max(1, len(graph.nodes) * max(1, len(graph.edges)))
-    for _ in range(max_rounds + 1):
-        changed = False
-        for a, b in graph.edges:
-            up_a = None if upper[a] is None else upper[a] + 1
-            changed |= tighten(b, lower[a], up_a)
-            lo_b = None if lower[b] is None else lower[b] - 1
-            changed |= tighten(a, lo_b, upper[b])
-        if not changed:
-            break
-    return {
-        node.name: Interval(lower[node.name], upper[node.name])
-        for node in graph.nodes
-    }
+        intervals[name] = Interval(lo, hi)
+    return intervals
 
 
 def torus_knot_tau(q: int) -> int:
@@ -183,6 +177,8 @@ def graph_from_dict(data: dict) -> TauConstraintGraph:
     for entry in data["nodes"]:
         if not isinstance(entry, dict):
             raise ValueError(f"node {entry!r} is not an object")
+        if "name" not in entry:
+            raise ValueError(f"node {entry!r} has no name")
         name, tau = entry["name"], entry.get("tau")
         if not isinstance(name, str):
             raise ValueError(f"node name {name!r} is not a string")

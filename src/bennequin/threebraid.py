@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, exponent_sum, family_word
+from .braid import BraidWord, closure_components, exponent_sum, family_word, self_linking
 from .garside import (
     NODE_CAP,
     ConjugacyCertificate,
@@ -190,4 +190,4 @@ def s_bound_sharp(w: BraidWord, s: int) -> bool:
     contact structure is nonzero.  False means inconclusive, not that a
     class vanishes.
     """
-    return s - 1 == exponent_sum(w) - w.strands
+    return s - 1 == self_linking(w)

@@ -5,9 +5,11 @@ than the package's own types, so an agreement test really compares two
 implementations.  The word moves (conjugation, cyclic shift, mirror) build
 plain ``BraidWord`` values; only tests use them.  :func:`rewriting_equal`
 decides the word problem with no normal form, for the strand counts where
-the Burau check of ``bennequin verify`` would not be exact.  The seeded
-corpora are not oracles: they come from :mod:`bennequin.checks`, so the
-tests and ``bennequin verify`` draw the same words and matrices from a seed.
+the Burau check of ``bennequin verify`` would not be exact, and
+:func:`fixpoint_propagate` bounds tau by rounds of edge relaxation, where
+the package takes shortest paths.  The seeded corpora are not oracles:
+they come from :mod:`bennequin.checks`, so the tests and ``bennequin
+verify`` draw the same words and matrices from a seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from bennequin.checks import (  # noqa: F401  (re-exported corpora)
     relation_neighbors,
     word_pairs,
 )
+from bennequin.tau import Interval, PropagationContradiction, TauConstraintGraph
 
 
 def det_fraction(rows) -> Fraction:
@@ -443,3 +446,66 @@ def word_factors(w) -> tuple[int, list]:
         inverses += k < 0
     factors.reverse()
     return -inverses, factors
+
+
+def _max_lower(a: int | None, b: int | None) -> int | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a, b)
+
+
+def _min_upper(a: int | None, b: int | None) -> int | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def fixpoint_propagate(graph: TauConstraintGraph) -> dict[str, Interval]:
+    """The tau intervals of ``tau.propagate``, relaxed to a fixed point.
+
+    The reference for the shortest-path route, kept as written before it:
+    every edge is relaxed in both directions for up to nodes x edges rounds.
+
+    Each edge a -> b yields tau(b) in [lower(a), upper(a) + 1] and
+    tau(a) in [lower(b) - 1, upper(b)].  Exact nodes start as point
+    intervals, others unbounded.  Raises
+    :class:`PropagationContradiction` naming the node whose interval
+    emptied and its incident edges.
+    """
+    lower: dict[str, int | None] = {}
+    upper: dict[str, int | None] = {}
+    for node in graph.nodes:
+        lower[node.name] = node.tau
+        upper[node.name] = node.tau
+
+    def tighten(name: str, new_lower: int | None, new_upper: int | None) -> bool:
+        lo = _max_lower(lower[name], new_lower)
+        hi = _min_upper(upper[name], new_upper)
+        if lo is not None and hi is not None and lo > hi:
+            incident = [e for e in graph.edges if name in e]
+            raise PropagationContradiction(
+                f"node {name!r} forced into empty interval [{lo}, {hi}]"
+                f" by edges {incident}"
+            )
+        changed = (lo, hi) != (lower[name], upper[name])
+        lower[name], upper[name] = lo, hi
+        return changed
+
+    max_rounds = max(1, len(graph.nodes) * max(1, len(graph.edges)))
+    for _ in range(max_rounds + 1):
+        changed = False
+        for a, b in graph.edges:
+            up_a = None if upper[a] is None else upper[a] + 1
+            changed |= tighten(b, lower[a], up_a)
+            lo_b = None if lower[b] is None else lower[b] - 1
+            changed |= tighten(a, lo_b, upper[b])
+        if not changed:
+            break
+    return {
+        node.name: Interval(lower[node.name], upper[node.name])
+        for node in graph.nodes
+    }

@@ -463,6 +463,7 @@ def test_tau_contradiction_exit(tmp_path, capsys):
         ({"nodes": [{"name": 7, "tau": 1}], "edges": []}, "not a string"),
         ({"nodes": [{"name": "P"}], "edges": [["P"]]}, "not a pair"),
         ([{"name": "P"}], "expected"),
+        ({"nodes": [{"tau": 1}], "edges": []}, "has no name"),
     ],
 )
 def test_tau_malformed_graph_exit(tmp_path, capsys, graph, message):

@@ -1,9 +1,13 @@
 """Crossing-change interval propagation for the tau invariant."""
 
 import random
+import re
+import time
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bennequin.tau import (
     Interval,
@@ -16,6 +20,7 @@ from bennequin.tau import (
     propagate,
     torus_knot_tau,
 )
+from oracles import fixpoint_propagate
 
 
 def test_torus_knot_values():
@@ -133,3 +138,55 @@ def test_json_wire_format():
     graph = graph_from_dict(data)
     out = {name: asdict(iv) for name, iv in propagate(graph).items()}
     assert out == {"K": {"lower": -1, "upper": 0}, "P": {"lower": -1, "upper": -1}}
+
+
+@st.composite
+def tau_graphs(draw):
+    """1 to 9 nodes, some with tau in -4..4, and 0 to 14 edges drawn with
+    replacement, so self-loops, duplicate edges and cycles all occur."""
+    names = [f"k{i}" for i in range(draw(st.integers(1, 9)))]
+    tau = st.none() | st.integers(-4, 4)
+    taus = draw(st.lists(tau, min_size=len(names), max_size=len(names)))
+    ends = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=14))
+    return TauConstraintGraph(
+        tuple(TauNode(name, tau) for name, tau in zip(names, taus)), tuple(edges)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(tau_graphs())
+@example(TauConstraintGraph((TauNode("A", 0), TauNode("B", 5)), (("A", "B"),)))
+def test_propagation_matches_the_fixpoint(graph):
+    try:
+        expected = fixpoint_propagate(graph)
+    except PropagationContradiction:
+        expected = None
+    if expected is not None:
+        assert propagate(graph) == expected
+        return
+    with pytest.raises(PropagationContradiction) as excinfo:
+        propagate(graph)
+    message = str(excinfo.value)
+    match = re.fullmatch(
+        r"node '(\w+)' forced into empty interval \[(-?\d+), (-?\d+)\] by edges (.*)",
+        message,
+    )
+    assert match, message
+    name, lo, hi, incident = match.groups()
+    assert int(lo) > int(hi)
+    assert incident == str([e for e in graph.edges if name in e])
+
+
+def test_long_chain_propagates_in_one_pass():
+    # a chain listed head first, its one known tau at the tail: the slowest
+    # shape for rounds of edge relaxation, which settle one node per round
+    names = [f"n{i}" for i in range(500)]
+    graph = TauConstraintGraph(
+        tuple(TauNode(name) for name in names[:-1]) + (TauNode(names[-1], 0),),
+        tuple(zip(names, names[1:])),
+    )
+    start = time.perf_counter()
+    intervals = propagate(graph)
+    assert time.perf_counter() - start < 0.1
+    assert intervals["n0"] == Interval(-499, 0)
