@@ -6,7 +6,6 @@ from .braid import (
     closure_components,
     closure_permutation,
     exponent_sum,
-    family_type1_word,
     family_word,
     format_braid,
     free_reduce,
@@ -28,20 +27,13 @@ from .quadform import (
     knot_signature,
 )
 from .report import InvariantReport, defects, family_report, quasipositive_verdict
-from .seifert import (
-    BandPresentation,
-    SeifertData,
-    family_four_ball_surface,
-    seifert_matrix,
-    twist_chain_matrix,
-)
+from .seifert import SeifertData, saddle_genus, seifert_matrix, twist_chain_matrix
 from .tau import Interval, TauConstraintGraph, family_tau, propagate, torus_knot_tau
 from .threebraid import Type1Form, s_bound_sharp, type1_recognize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandPresentation",
     "BraidWord",
     "CongruenceDiagnosis",
     "ConjugacyCertificate",
@@ -59,10 +51,8 @@ __all__ = [
     "conjugacy_decide",
     "defects",
     "exponent_sum",
-    "family_four_ball_surface",
     "family_report",
     "family_tau",
-    "family_type1_word",
     "family_word",
     "format_braid",
     "free_reduce",
@@ -72,6 +62,7 @@ __all__ = [
     "propagate",
     "quasipositive_verdict",
     "s_bound_sharp",
+    "saddle_genus",
     "seifert_matrix",
     "self_linking",
     "torus_knot_tau",

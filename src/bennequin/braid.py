@@ -202,14 +202,3 @@ def family_word(n: int) -> BraidWord:
     if n < 1:
         raise ValueError("family index must be >= 1")
     return BraidWord(3, (-1,) * (2 * n + 3) + (2, 1, 1, 1, 2))
-
-
-def family_type1_word(n: int) -> BraidWord:
-    """Conjugate normal form of family_word(n) in the Murasugi classification.
-
-    Spelled as (sigma_1 sigma_2)^3 sigma_1 sigma_2^{-(2n+5)}: one full
-    twist, a single positive sigma_1 block, and 2n+5 negative sigma_2's.
-    """
-    if n < 1:
-        raise ValueError("family index must be >= 1")
-    return BraidWord(3, (1, 2, 1, 2, 1, 2, 1) + (-2,) * (2 * n + 5))

@@ -28,19 +28,12 @@ from .alexander import (
     laurent_det,
     reduced_burau,
 )
-from .braid import (
-    BraidWord,
-    closure_components,
-    family_type1_word,
-    family_word,
-    format_braid,
-    self_linking,
-)
+from .braid import BraidWord, closure_components, family_word, format_braid, self_linking
 from .garside import conjugacy_decide, verify_certificate, words_equal
 from .report import family_report, g4_bounds
-from .seifert import family_four_ball_surface, seifert_matrix, twist_chain_matrix
+from .seifert import family_saddles, saddle_genus, seifert_matrix, twist_chain_matrix
 from .tau import TauConstraintGraph, TauNode, family_tau, propagate
-from .threebraid import family_type1_form, s_bound_sharp, type1_recognize
+from .threebraid import family_type1_form, s_bound_sharp, type1_recognize, type1_word
 
 SEED = 20260810
 
@@ -206,17 +199,17 @@ def _algorithmic_signature(max_n: int, seed: int) -> str:
 
 def _four_ball_genus(max_n: int, seed: int) -> str:
     for n in range(1, max_n + 1):
-        surface = family_four_ball_surface(n)
-        _expect(surface.euler_characteristic, 1 - 2 * n, f"Euler characteristic, K{n}")
-        bounds = g4_bounds(2 * n, surface.genus)
+        genus = saddle_genus(family_word(n), family_saddles(n))
+        _expect(genus, n, f"saddle genus of K{n}")
+        bounds = g4_bounds(2 * n, genus)
         _expect((bounds.lower, bounds.upper), (n, n), f"four-ball genus bounds of K{n}")
-    return f"four-ball genus pinned to n for n=1..{max_n}"
+    return f"2n saddles to the unknot pin the four-ball genus to n for n=1..{max_n}"
 
 
 def _conjugacy(max_n: int, seed: int) -> str:
     top = min(max_n, 8)
     for n in range(1, top + 1):
-        w, u = family_word(n), family_type1_word(n)
+        w, u = family_word(n), type1_word(1, ((1, 2 * n + 5),))
         cert = conjugacy_decide(w, u)
         if cert is None:
             raise CheckFailed(f"K{n} not found conjugate to its Type-1 form")

@@ -10,10 +10,10 @@ all nonnegative, and all zero for quasipositive knots, so a positive
 defect certifies nonquasipositivity.  One pipeline builds every report,
 with one route per quantity: :func:`word_report` runs it on any
 knot-closure word, and :func:`family_report` runs it on the built-in
-family with the family's certified four-ball genus and tau, then checks
-every closed-form identity (delta_4 = 2n while delta_s and delta_tau stay
-0) before returning.  Second routes (the Seifert-route Alexander
-polynomial, the twist-chain signature) run only in
+family with the family's certified tau and four-ball genus saddles, then
+checks every closed-form identity (delta_4 = 2n while delta_s and
+delta_tau stay 0) before returning.  Second routes (the Seifert-route
+Alexander polynomial, the twist-chain signature) run only in
 :mod:`bennequin.checks` and the tests.
 
 A report stores each fact once: the self-linking number only as
@@ -42,7 +42,7 @@ from .braid import (
     self_linking,
 )
 from .garside import NODE_CAP, SearchBudgetExceeded
-from .seifert import family_four_ball_surface, seifert_matrix
+from .seifert import MAX_RANK, family_saddles, saddle_genus, seifert_matrix
 from .tau import Interval, family_tau
 from .threebraid import (
     CANDIDATE_CAP,
@@ -170,14 +170,15 @@ def _pipeline(
     assume_minimal_index: bool,
     candidate_cap: int = CANDIDATE_CAP,
     node_cap: int = NODE_CAP,
-    four_ball_genus: int | None = None,
+    saddles: tuple[int, ...] | None = None,
     tau: int | None = None,
     type1_form: Type1Form | None = None,
 ) -> InvariantReport:
     """Report of a knot-closure word, each stage run once.
 
-    ``four_ball_genus`` is the genus of a surface the knot bounds in the
-    four-ball; without it the Seifert genus bounds g4 from above.  ``tau``
+    ``saddles`` are the positions of letters whose deletion certifies a
+    four-ball surface (:func:`seifert.saddle_genus`), checked on w itself;
+    without them the Seifert genus bounds g4 from above.  ``tau``
     is a certified tau; without it tau stays unbounded.  ``type1_form`` is
     a Type-1 form with a verified conjugator onto w; without it a 3-strand
     word is searched for one.
@@ -189,7 +190,7 @@ def _pipeline(
     sigma = quadform.seifert_form_diagonalize(data.matrix).signature
     alex = burau_alexander(w)
     g3_upper = data.genus
-    g4 = g4_bounds(sigma, g3_upper if four_ball_genus is None else four_ball_genus)
+    g4 = g4_bounds(sigma, g3_upper if saddles is None else saddle_genus(w, saddles))
 
     s_value: SValue | None = None
     form = type1_form
@@ -231,8 +232,9 @@ def _pipeline(
 def family_report(n: int) -> InvariantReport:
     """Full invariant report of the n-th family knot.
 
-    The word pipeline runs with the family's certified inputs: the genus
-    of its four-ball surface, its propagated tau and its Type-1 form with
+    The word pipeline runs with the family's certified inputs: the saddles
+    of its four-ball surface (:func:`seifert.family_saddles`, checked on
+    the reported word), its propagated tau and its Type-1 form with
     the verified conjugator sigma_2^-1 sigma_1^-2
     (:func:`threebraid.family_type1_form`), which Type-1 recognition
     tries on its first candidate, so no summit search runs;
@@ -240,8 +242,12 @@ def family_report(n: int) -> InvariantReport:
     family satisfies is then checked on the finished report.
     The second routes to its signature and Alexander polynomial (the
     twist-chain matrices, det(V - tV^T)) run in ``bennequin verify`` and
-    the tests, not here.
+    the tests, not here.  An n past the Seifert rank cap raises ValueError
+    before anything is built.
     """
+    rank = 2 * n + 6  # that of family_word(n): 2n + 8 letters on 3 strands
+    if rank > MAX_RANK:
+        raise ValueError(f"family rank {rank} is more than the limit of {MAX_RANK}")
     w = family_word(n)
     name = f"K{n}"
     if n in FAMILY_TABLE_NAMES:
@@ -250,7 +256,7 @@ def family_report(n: int) -> InvariantReport:
         w,
         name,
         assume_minimal_index=True,
-        four_ball_genus=family_four_ball_surface(n).genus,
+        saddles=family_saddles(n),
         tau=family_tau(n),
         type1_form=family_type1_form(n),
     )

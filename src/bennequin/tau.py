@@ -165,20 +165,24 @@ def graph_from_dict(data: dict) -> TauConstraintGraph:
 
     Expected shape: {"nodes": [{"name": str, "tau": int?}, ...],
     "edges": [[from, to], ...]}.  Anything else raises ValueError, so no
-    float or boolean tau reaches the integer intervals.
+    float or boolean tau reaches the integer intervals, and no misspelt
+    key drops a constraint unseen.
     """
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("nodes"), list)
-        and isinstance(data.get("edges"), list)
+        and data.keys() == {"nodes", "edges"}
+        and isinstance(data["nodes"], list)
+        and isinstance(data["edges"], list)
     ):
-        raise ValueError('expected {"nodes": [...], "edges": [...]}')
+        raise ValueError('expected {"nodes": [...], "edges": [...]} and no other key')
     nodes = []
     for entry in data["nodes"]:
         if not isinstance(entry, dict):
             raise ValueError(f"node {entry!r} is not an object")
         if "name" not in entry:
             raise ValueError(f"node {entry!r} has no name")
+        if not entry.keys() <= {"name", "tau"}:
+            raise ValueError(f"node {entry!r} has a key other than name and tau")
         name, tau = entry["name"], entry.get("tau")
         if not isinstance(name, str):
             raise ValueError(f"node name {name!r} is not a string")

@@ -15,7 +15,11 @@ from bennequin import checks
 # max_n is per criterion because the checks scale differently with it:
 # self-linking, four-ball genus and tau stay cheap up to n = 100, while the
 # twist-chain induction runs to k = 2*max_n - 1 and took about ten times its
-# budget at max_n = 100.  The rest run at max_n = 10: k <= 40 for the
+# budget at max_n = 100.  The four-ball genus criterion checks a certificate
+# on each family word: deleting the first 2n - 1 letters sigma_1^-1 and the
+# first sigma_2 leaves sigma_1^-1 sigma_2, whose closure is the unknot (two
+# Markov destabilizations), so the 2n saddles give g4 <= 2n/2 = n (Rudolph,
+# Bull. Amer. Math. Soc. 29 (1993)), and |signature|/2 = n bounds it below.  The rest run at max_n = 10: k <= 40 for the
 # induction, n <= 10 for the signature and n <= 8 for the Garside checks.
 CRITERIA = {
     "self-linking": ("self_linking", "self-linking", 1.0, 100),

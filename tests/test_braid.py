@@ -12,7 +12,6 @@ from bennequin.braid import (
     closure_components,
     closure_permutation,
     exponent_sum,
-    family_type1_word,
     family_word,
     format_braid,
     free_reduce,
@@ -20,6 +19,7 @@ from bennequin.braid import (
     parse_braid,
     self_linking,
 )
+from bennequin.threebraid import type1_word
 from oracles import conjugate, cyclic_shift, mirror, random_words, word_cycle_count
 
 
@@ -105,7 +105,7 @@ def test_exponent_sum():
     assert exponent_sum(BraidWord(2, (1, 1, 1))) == 3
     for n in (1, 3, 7):
         assert exponent_sum(family_word(n)) == 2 - 2 * n
-        assert exponent_sum(family_type1_word(n)) == 2 - 2 * n
+        assert exponent_sum(type1_word(1, ((1, 2 * n + 5),))) == 2 - 2 * n
 
 
 def test_self_linking_examples():
@@ -136,11 +136,8 @@ def test_family_words_are_knots():
 
 def test_family_letter_sequences():
     assert family_word(1).letters == (-1, -1, -1, -1, -1, 2, 1, 1, 1, 2)
-    assert family_type1_word(1).letters == (1, 2, 1, 2, 1, 2, 1) + (-2,) * 7
     with pytest.raises(ValueError):
         family_word(0)
-    with pytest.raises(ValueError):
-        family_type1_word(0)
 
 
 def test_free_reduce():

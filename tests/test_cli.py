@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
@@ -94,6 +95,24 @@ def test_family_usage_error_for_bad_index(capsys):
     code, _, err = run_cli(capsys, "family", "--n", "0")
     assert code == 1
     assert "usage" in err
+
+
+@pytest.mark.parametrize("n", ["498", "100000"])
+def test_family_past_the_rank_cap_exits_2(capsys, n):
+    # K_498 has Seifert rank 2n + 6 = 1002; nothing is built before the check
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "family", "--n", n)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"more than the limit of {seifert.MAX_RANK}" in err
+    assert seconds < 0.5
+    assert peak < 1_000_000
 
 
 def test_seifert_formats(capsys):
@@ -464,6 +483,19 @@ def test_tau_contradiction_exit(tmp_path, capsys):
         ({"nodes": [{"name": "P"}], "edges": [["P"]]}, "not a pair"),
         ([{"name": "P"}], "expected"),
         ({"nodes": [{"tau": 1}], "edges": []}, "has no name"),
+        # misspelt keys would drop a constraint unseen
+        (
+            {
+                "nodes": [{"name": "P", "Tau": -1}, {"name": "K"}],
+                "edges": [["P", "K"]],
+                "edgez": [],
+            },
+            "no other key",
+        ),
+        (
+            {"nodes": [{"name": "P", "Tau": -1}, {"name": "K"}], "edges": [["P", "K"]]},
+            "other than name and tau",
+        ),
     ],
 )
 def test_tau_malformed_graph_exit(tmp_path, capsys, graph, message):

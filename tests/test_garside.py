@@ -14,7 +14,6 @@ from bennequin.alexander import reduced_burau
 from bennequin.braid import (
     BraidWord,
     concat,
-    family_type1_word,
     family_word,
     free_reduce,
     inverse_word,
@@ -31,6 +30,7 @@ from bennequin.garside import (
     verify_certificate,
     words_equal,
 )
+from bennequin.threebraid import type1_word
 from oracles import (
     conjugate,
     normal_form_word,
@@ -242,14 +242,14 @@ def test_burau_matrix_and_normal_forms_decide_the_same_pairs():
 
 def test_family_conjugacy_certificates():
     for n in (1, 2, 3):
-        w, u = family_word(n), family_type1_word(n)
+        w, u = family_word(n), type1_word(1, ((1, 2 * n + 5),))
         cert = conjugacy_decide(w, u)
         assert cert is not None
         assert verify_certificate(w, u, cert.conjugator)
 
 
 def test_a_given_conjugator_is_tried_before_the_summit_search(monkeypatch):
-    w, u = family_word(3), family_type1_word(3)
+    w, u = family_word(3), type1_word(1, ((1, 11),))
     searched = conjugacy_decide(w, u).conjugator
     wrong = BraidWord(3, (1,))
     assert conjugacy_decide(w, u, conjugator=wrong).conjugator == searched
@@ -366,6 +366,6 @@ def test_verify_certificate_on_long_3_strand_runs():
 
 
 def test_node_cap_raises_distinct_error():
-    w, u = family_word(1), family_type1_word(1)
+    w, u = family_word(1), type1_word(1, ((1, 7),))
     with pytest.raises(SearchBudgetExceeded):
         conjugacy_decide(w, u, node_cap=0)

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from bennequin import quadform
-from bennequin.braid import BraidWord, family_type1_word, family_word
+from bennequin.braid import BraidWord, family_word
 from bennequin.quadform import congruence_diagonalize, knot_signature
 from bennequin.seifert import seifert_matrix, twist_chain_matrix
+from bennequin.threebraid import type1_word
 from oracles import (
     congruence_transform,
     conjugate,
@@ -181,7 +182,7 @@ def test_jacobi_pivot_signs_reproduce_signature():
 def test_knot_signature_anchors():
     assert knot_signature(BraidWord(2, (1, 1, 1))) == -2
     assert knot_signature(family_word(1)) == 2
-    assert knot_signature(family_type1_word(1)) == 2
+    assert knot_signature(type1_word(1, ((1, 7),))) == 2
 
 
 def test_knot_signature_is_conjugacy_invariant():

@@ -23,7 +23,7 @@ from bennequin.report import (
     report_to_dict,
     word_report,
 )
-from bennequin.seifert import family_four_ball_surface, twist_chain_matrix
+from bennequin.seifert import MAX_RANK, family_saddles, saddle_genus, twist_chain_matrix
 from bennequin.tau import Interval
 
 
@@ -37,7 +37,7 @@ def test_max_self_linking_flag():
 
 def test_g4_bounds_pinned_by_surface():
     for n in (1, 2, 7, 100):
-        bounds = g4_bounds(2 * n, family_four_ball_surface(n).genus)
+        bounds = g4_bounds(2 * n, saddle_genus(family_word(n), family_saddles(n)))
         assert bounds == Interval(n, n)
 
 
@@ -148,6 +148,23 @@ def test_family_report_refuses_a_wrong_conjugator(monkeypatch):
     monkeypatch.setattr(threebraid, "FAMILY_CONJUGATOR", (-2, -1))
     with pytest.raises(RuntimeError, match="conjugator fails verification for K2"):
         family_report(2)
+
+
+def test_family_report_checks_its_saddles_on_the_reported_word(monkeypatch):
+    # the saddles of K3 leave sigma_1^-2 sigma_2 sigma_1^2 sigma_2 of the K2 word
+    monkeypatch.setattr(report, "family_saddles", lambda n: family_saddles(n + 1))
+    with pytest.raises(ValueError, match="exactly once"):
+        family_report(2)
+
+
+def test_family_report_refuses_ranks_past_the_cap_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("built past the cap")
+
+    for name in ("family_word", "family_saddles", "family_tau", "family_type1_form"):
+        monkeypatch.setattr(report, name, built)
+    with pytest.raises(ValueError, match=f"rank 1002 is more than the limit of {MAX_RANK}"):
+        family_report(498)
 
 
 def test_s_invariant_check_compares_the_search_with_the_closed_form(monkeypatch):

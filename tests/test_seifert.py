@@ -1,23 +1,27 @@
-"""Seifert matrices from braid words, reference fixtures, band counts."""
+"""Seifert matrices from braid words, reference fixtures, saddle certificates."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bennequin.alexander import alexander_from_seifert, burau_alexander
 from bennequin.braid import BraidWord, family_word
-from bennequin.quadform import congruence_diagonalize
+from bennequin.quadform import congruence_diagonalize, knot_signature
 from bennequin.seifert import (
     MAX_RANK,
-    BandPresentation,
     DisconnectedSurfaceError,
     NotAKnotError,
-    family_four_ball_surface,
+    family_saddles,
     reduced_surface_seifert_matrix,
+    saddle_genus,
     seifert_matrix,
     twist_chain_matrix,
 )
 from oracles import det_fraction, mirror, random_knot_words
+from strategies import knot_words
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 
@@ -103,28 +107,74 @@ def test_genus_upper_bounds():
     assert seifert_matrix(BraidWord(2, (1,))).genus == 0
 
 
-def test_band_presentations():
-    disk = BandPresentation(1, 0)
-    assert disk.euler_characteristic == 1
-    assert disk.genus == 0
+def test_family_saddles_certify_genus_n():
+    # K1 = sigma_1^-5 sigma_2 sigma_1^3 sigma_2 keeps sigma_1^-4 sigma_1^3 sigma_2
+    assert family_saddles(1) == (0, 5)
+    # up to n = 497, the largest family index under the Seifert rank cap
+    for n in range(1, 498):
+        deleted = family_saddles(n)
+        assert len(deleted) == 2 * n
+        assert saddle_genus(family_word(n), deleted) == n
     with pytest.raises(ValueError):
-        BandPresentation(0, 2)
-    with pytest.raises(ValueError):
-        BandPresentation(1, -1)
+        family_saddles(0)
 
 
-def test_family_four_ball_surface_counts():
-    first = family_four_ball_surface(1)
-    assert first == BandPresentation(3, 4)
-    assert first.euler_characteristic == -1
-    assert first.genus == 1
-    for n in (2, 3, 10, 100):
-        surface = family_four_ball_surface(n)
-        assert surface.bands == 2 * n + 2
-        assert surface.euler_characteristic == 1 - 2 * n
-        assert surface.genus == n
-    with pytest.raises(ValueError):
-        family_four_ball_surface(0)
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_saddle_genus_rejects_broken_certificates(n):
+    w, saddles = family_word(n), family_saddles(n)
+    sigma2 = 2 * n + 3  # the first sigma_2; sigma_1^3 and the second follow
+    broken = [
+        # an odd count is named before anything else is looked at
+        (saddles[:-1], "odd"),  # a dropped deletion
+        ((*saddles, sigma2 + 1), "odd"),  # an extra sigma_1
+        # the first sigma_2 kept: sigma_1^-4 sigma_2 sigma_1^3
+        ((*saddles[:-1], sigma2 + 4), "exactly once"),
+        # sigma_1^-4 sigma_1 sigma_2 = sigma_1^-3 sigma_2
+        ((*saddles, sigma2 + 1, sigma2 + 2), "exactly once"),
+        # sigma_1^-4 sigma_1^2 with sigma_2 unused
+        ((*saddles, sigma2 + 1, sigma2 + 4), "exactly once"),
+        ((*saddles[:-1], len(w)), "distinct"),
+        ((*saddles[:-1], -1), "distinct"),
+        ((*saddles[:-1], 0), "distinct"),
+    ]
+    for deleted, message in broken:
+        with pytest.raises(ValueError, match=message):
+            saddle_genus(w, deleted)
+    # a weaker certificate holds: sigma_1^-2 sigma_1^3 sigma_2 = sigma_1 sigma_2
+    assert saddle_genus(w, (*range(2 * n + 1), sigma2)) == n + 1
+
+
+def test_saddle_genus_needs_a_knot():
+    # sigma_1^2 sigma_2^2 closes to three components, and deleting one letter
+    # of each square would leave sigma_1 sigma_2
+    with pytest.raises(ValueError, match="component"):
+        saddle_genus(BraidWord(3, (1, 1, 2, 2)), (0, 2))
+    assert saddle_genus(BraidWord(1, ()), ()) == 0
+    assert saddle_genus(TREFOIL, (0, 1)) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(knot_words(), st.data())
+def test_accepted_saddle_certificates_respect_the_signature(w, data):
+    occurrences = {}
+    for i, k in enumerate(w.letters):
+        occurrences.setdefault(abs(k), []).append(i)
+    kept = {data.draw(st.sampled_from(places)) for places in occurrences.values()}
+    deleted = [i for i in range(len(w)) if i not in kept]
+    # one occurrence of each generator kept: the Seifert surface's genus
+    assert saddle_genus(w, deleted) == seifert_matrix(w).genus
+    # also keep pairs of inverse letters, which cancel unless a kept letter
+    # lies between them
+    letters = w.letters
+    pairs = [(i, j) for i in deleted for j in deleted if letters[i] == -letters[j] > 0]
+    extra = set()
+    if pairs:
+        extra = set().union(*data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    try:
+        genus = saddle_genus(w, [i for i in deleted if i not in extra])
+    except ValueError:
+        return
+    assert genus >= math.ceil(abs(knot_signature(w)) / 2)
 
 
 def test_reduced_surface_matrix_entries():

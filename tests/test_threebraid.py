@@ -7,7 +7,6 @@ import pytest
 from bennequin.braid import (
     BraidWord,
     exponent_sum,
-    family_type1_word,
     family_word,
     free_reduce,
 )
@@ -31,7 +30,7 @@ FULL_TWIST_WORD = BraidWord(3, (1, 2, 1, 2, 1, 2))
 
 def test_type1_word_spelling():
     w = type1_word(1, [(1, 7)])
-    assert w == family_type1_word(1)
+    assert w.letters == (1, 2, 1, 2, 1, 2, 1) + (-2,) * 7
     with pytest.raises(ValueError):
         type1_word(0, [(1, 1)])
     with pytest.raises(ValueError):
@@ -50,8 +49,6 @@ def test_family_recognition():
     # the search is the oracle of the closed-form conjugator
     for n in range(1, 9):
         assert type1_recognize(family_word(n)) == family_type1_form(n)
-    for n in range(1, 51):
-        assert family_type1_word(n) == type1_word(1, ((1, 2 * n + 5),))
 
 
 def test_family_type1_form_verifies():
@@ -62,7 +59,7 @@ def test_family_type1_form_verifies():
 
 
 def test_type1_conjugate_spelling_recognized_identically():
-    form = type1_recognize(family_type1_word(2))
+    form = type1_recognize(type1_word(1, ((1, 9),)))
     assert form is not None
     assert (form.d, form.blocks) == (1, ((1, 9),))
 
@@ -126,7 +123,7 @@ def test_s_invariant_constant_under_conjugation():
     rng = random.Random(71)
     for n in (1, 2):
         w = family_word(n)
-        assert type1_recognize(family_type1_word(n)).s_invariant == -2 * n
+        assert type1_recognize(type1_word(1, ((1, 2 * n + 5),))).s_invariant == -2 * n
         for _ in range(3):
             c = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(4)))
             moved = free_reduce(conjugate(w, c))
