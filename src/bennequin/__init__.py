@@ -11,6 +11,7 @@ from .braid import (
     free_reduce,
     parse_braid,
     self_linking,
+    sl2_image,
 )
 from .garside import (
     ConjugacyCertificate,
@@ -65,6 +66,7 @@ __all__ = [
     "saddle_genus",
     "seifert_matrix",
     "self_linking",
+    "sl2_image",
     "torus_knot_tau",
     "twist_chain_matrix",
     "type1_recognize",

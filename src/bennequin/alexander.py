@@ -2,9 +2,12 @@
 
 :func:`burau_alexander` evaluates the reduced Burau representation and uses
 det(I - B(w)) * (1 - t) / (1 - t^n); it is the route every report takes.
-:func:`reduced_burau` builds B(w) as column updates on its Laurent
+:func:`_burau_columns` builds B(w) as column updates on its Laurent
 polynomial entries, one maximal run sigma_i^m of equal letters at a time,
-with no polynomial multiplication.  The letter matrix of sigma_i has
+with no polynomial multiplication.  The Alexander polynomial is its only
+use in the package: equality of braids on 3 strands is decided on
+integers (:func:`braid.sl2_image`), and the tests compare whole Burau
+matrices only as an oracle.  The letter matrix of sigma_i has
 eigenvalues 1 and -t, so a run of RUN letters or more takes one closed-form
 step whose numerators are divisible by 1 + t (:func:`_burau_columns`).  On
 3 strands det(I - B) = 1 - tr B + (-t)^e, e the exponent sum, because
@@ -16,8 +19,8 @@ cross-validate each other exactly.
 
 All arithmetic runs on plain dicts ``{exponent: nonzero coefficient}``:
 the Burau column updates, the fraction-free determinant, exact division
-and normalization all stay exact on integers, and :func:`laurent_det`,
-:func:`normalize` and :func:`reduced_burau` take and return such dicts.
+and normalization all stay exact on integers, and :func:`laurent_det` and
+:func:`normalize` take and return such dicts.
 :class:`LaurentPoly` is the value type of a finished Alexander polynomial,
 built once per call, and :func:`knot_determinant` reads |Delta(-1)| off it.
 """
@@ -317,12 +320,6 @@ def _burau_columns(w: BraidWord) -> list[list[dict[int, int]]]:
                     new_last.append({e: c for e, c in out.items() if c})
                 cols[-1] = new_last
     return cols
-
-
-def reduced_burau(w: BraidWord) -> list[list[dict[int, int]]]:
-    """Reduced Burau matrix of a braid word: (strands-1)^2 dict polynomials."""
-    cols = _burau_columns(w)
-    return [[col[r] for col in cols] for r in range(len(cols))]
 
 
 def burau_alexander(w: BraidWord) -> LaurentPoly:

@@ -190,6 +190,55 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(out))
 
 
+def sl2_image(w: BraidWord) -> tuple[int, int, int, int]:
+    """Image (a, b, c, d) of [[a, b], [c, d]] in SL(2, Z) of a word on at most
+    3 strands, under sigma_1 -> [[1, 1], [0, 1]] and sigma_2 -> [[1, 0], [-1, 1]].
+
+    Two words on at most 3 strands are equal in the braid group iff their
+    exponent sums and their images are equal.  Proof: both products
+    sigma_1 sigma_2 sigma_1 and sigma_2 sigma_1 sigma_2 map to
+    [[0, 1], [-1, 0]], so this is a homomorphism rho on B_3.  The change of
+    generators x = sigma_1 sigma_2 sigma_1, y = sigma_1 sigma_2, with
+    inverse sigma_1 = y^-1 x and sigma_2 = x^-1 y^2, turns the braid
+    relation into x^2 = y^3, so B_3 = <x, y | x^2 = y^3>, and x^2 = Delta^2
+    is central.  rho(x) = [[0, 1], [-1, 0]] and rho(y) = [[0, 1], [-1, 1]];
+    conjugation by diag(-1, 1) in GL(2, Z), an automorphism of SL(2, Z),
+    takes them to S = [[0, -1], [1, 0]] and ST = [[0, -1], [1, 1]], with
+    T = [[1, 1], [0, 1]].  SL(2, Z) is the amalgam <S> *_<S^2> <ST> =
+    Z/4 *_{Z/2} Z/6 (Serre, *Trees*, 1980, ch. I §4.2), whose presentation
+    is <x, y | x^4, x^2 = y^3>.  So rho is onto and its kernel is the
+    normal closure of x^4 = Delta^4, which is central:
+    rho(u) = rho(v) iff u = v Delta^(4k) for an integer k.  The exponent
+    sum is a homomorphism to Z taking Delta^4 to 12, so equal sums force
+    k = 0.  B_1 and B_2 embed in B_3, so the test holds on them too.
+
+    The product is built left to right, one maximal run sigma_i^m of equal
+    letters at a time: the run maps to [[1, m], [0, 1]] or
+    [[1, 0], [-m, 1]], so a step is one multiply-add per row, on integers
+    only.
+    """
+    if w.strands > 3:
+        raise ValueError("the SL(2, Z) image decides equality on at most 3 strands")
+    a, b, c, d = 1, 0, 0, 1
+    letters = w.letters
+    size = len(letters)
+    j = 0
+    while j < size:
+        k = letters[j]
+        end = j + 1
+        while end < size and letters[end] == k:
+            end += 1
+        m = end - j if k > 0 else j - end
+        j = end
+        if k == 1 or k == -1:
+            b += a * m
+            d += c * m
+        else:
+            a -= b * m
+            c -= d * m
+    return a, b, c, d
+
+
 def family_word(n: int) -> BraidWord:
     """Defining 3-braid of the n-th knot in the built-in family.
 

@@ -26,9 +26,16 @@ from .alexander import (
     burau_alexander,
     knot_determinant,
     laurent_det,
-    reduced_burau,
 )
-from .braid import BraidWord, closure_components, family_word, format_braid, self_linking
+from .braid import (
+    BraidWord,
+    closure_components,
+    exponent_sum,
+    family_word,
+    format_braid,
+    self_linking,
+    sl2_image,
+)
 from .garside import conjugacy_decide, verify_certificate, words_equal
 from .report import family_report, g4_bounds
 from .seifert import family_saddles, saddle_genus, seifert_matrix, twist_chain_matrix
@@ -296,19 +303,19 @@ def _congruence_invariance(max_n: int, seed: int) -> str:
 
 
 def _word_problem(max_n: int, seed: int) -> str:
-    # The reduced Burau representation is faithful on 3 strands (Birman,
-    # Braids, Links, and Mapping Class Groups, 1974, ch. 3), so equal
-    # matrices decide equal braids exactly, independently of normal forms.
+    # On 3 strands equal exponent sums and equal SL(2, Z) images decide
+    # equal braids exactly (braid.sl2_image), independently of normal forms.
     for w1, w2 in word_pairs(random.Random(seed + 2), 100):
+        same_sum = exponent_sum(w1) == exponent_sum(w2)
         _expect(
             words_equal(w1, w2),
-            reduced_burau(w1) == reduced_burau(w2),
+            same_sum and sl2_image(w1) == sl2_image(w2),
             f"normal forms on {format_braid(w1)!r} = {format_braid(w2)!r}",
         )
     for left, right in (((1, 2, 1), (2, 1, 2)), ((1, -1), ()), ((-2, 2), ())):
         equal = words_equal(BraidWord(3, left), BraidWord(3, right))
         _expect(equal, True, f"normal forms on {left} = {right}")
-    return "normal forms agree with the faithful Burau matrix on 100 pairs"
+    return "normal forms agree with the exact SL(2, Z) image test on 100 pairs"
 
 
 def _detectors(max_n: int, seed: int) -> str:

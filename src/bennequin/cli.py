@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import checks, quadform
 from .alexander import burau_alexander
-from .braid import ParseError, format_braid, parse_braid
+from .braid import BraidWord, ParseError, format_braid, parse_braid
 from .garside import NODE_CAP, conjugacy_decide, verify_certificate
 from .report import (
     CSV_HEADER,
@@ -182,8 +182,25 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _cmd_invariants(args) -> int:
+def _knot_word(args) -> BraidWord:
+    """The parsed word of a command that needs a knot closure.
+
+    A knot closure on n strands needs at least n - 1 letters, since its
+    permutation is one n-cycle, so a larger strand count is refused here,
+    before any strand is tracked: a count in the millions would otherwise
+    build lists that size.
+    """
     w = parse_braid(args.word, args.strands)
+    if w.strands > len(w.letters) + 1:
+        raise ValueError(
+            f"a knot closure on {w.strands} strands needs at least"
+            f" {w.strands - 1} letters, got {len(w.letters)}"
+        )
+    return w
+
+
+def _cmd_invariants(args) -> int:
+    w = _knot_word(args)
     report = word_report(
         w,
         assume_minimal_index=args.assume_minimal_index,
@@ -195,7 +212,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_seifert(args) -> int:
-    w = parse_braid(args.word, args.strands)
+    w = _knot_word(args)
     matrix = seifert_matrix(w).matrix
     if args.format == "json":
         print(json.dumps([list(row) for row in matrix]))
@@ -206,7 +223,7 @@ def _cmd_seifert(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    w = parse_braid(args.word, args.strands)
+    w = _knot_word(args)
     print(burau_alexander(w))
     return 0
 

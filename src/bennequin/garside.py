@@ -18,10 +18,10 @@ factor tuple (``_conjugate_nf``), never by spelling the form back as a
 word.
 
 A conjugator is checked by :func:`verify_certificate`.  Up to 3 strands
-it compares reduced Burau matrices, which are faithful there (Birman,
-*Braids, Links, and Mapping Class Groups*, 1974, ch. 3), so the check
-builds no normal form and is independent of the search that found the
-conjugator; from 4 strands on it compares normal forms.
+it compares exponent sums and integer images in SL(2, Z), which together
+decide equality there (:func:`braid.sl2_image`), so the check builds no
+normal form and is independent of the search that found the conjugator;
+from 4 strands on it compares normal forms.
 
 A product is left-weighted only where it changed (Epstein et al., *Word
 Processing in Groups*, ch. 9; Elrifai and Morton, Quart. J. Math. 45
@@ -46,8 +46,14 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
-from .alexander import reduced_burau
-from .braid import BraidWord, concat, exponent_sum, free_reduce, inverse_word
+from .braid import (
+    BraidWord,
+    concat,
+    exponent_sum,
+    free_reduce,
+    inverse_word,
+    sl2_image,
+)
 
 Perm = tuple[int, ...]
 
@@ -411,17 +417,16 @@ def verify_certificate(w1: BraidWord, w2: BraidWord, c: BraidWord) -> bool:
     """True iff w2 = c * w1 * c^-1 in the braid group.
 
     Decided as w2 * c = c * w1, so neither side needs an inverse.  Up to 3
-    strands the reduced Burau matrices of the two products are compared:
-    the representation is faithful there (Birman, *Braids, Links, and
-    Mapping Class Groups*, 1974, ch. 3), so equal matrices mean equal
-    braids, and the check is independent of the normal forms that the
-    search for a conjugator uses.  From 4 strands on normal forms decide:
-    Burau is not faithful from 5 strands (Bigelow, Geom. Topol. 3 (1999))
-    and its faithfulness on 4 is open.
+    strands the two products are equal iff their exponent sums, equal iff
+    w1 and w2 have the same one, and their SL(2, Z) images are equal
+    (:func:`braid.sl2_image`): a few integer multiply-adds per run of equal
+    letters, independent of the normal forms that the search for a
+    conjugator uses.  From 4 strands on normal forms decide.
     """
     if not (w1.strands == w2.strands == c.strands):
         raise ValueError("strand counts differ")
     left, right = concat(w2, c), concat(c, w1)
     if w1.strands <= 3:
-        return reduced_burau(left) == reduced_burau(right)
+        same_sum = exponent_sum(w1) == exponent_sum(w2)
+        return same_sum and sl2_image(left) == sl2_image(right)
     return words_equal(left, right)

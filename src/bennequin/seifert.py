@@ -33,6 +33,7 @@ by the knot, so g4 <= k/2 (Rudolph, Bull. Amer. Math. Soc. 29 (1993)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .braid import BraidWord, closure_components, free_reduce
 
@@ -82,9 +83,12 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
     n = w.strands
     used = {abs(k) for k in w.letters}
     if used != set(range(1, n)):
-        missing = sorted(set(range(1, n)) - used)
+        # the first ten unused columns lie below len(used) + 11
+        shown = list(islice((i for i in range(1, n) if i not in used), 10))
+        more = n - 1 - len(used) - len(shown)
+        listed = f"{shown} and {more} more" if more else f"{shown}"
         raise DisconnectedSurfaceError(
-            f"generator column(s) {missing} unused; surface is disconnected"
+            f"generator column(s) {listed} unused; surface is disconnected"
         )
     if closure_components(w) != 1:
         raise NotAKnotError("closure has more than one component")

@@ -21,9 +21,10 @@ unclassified (None) rather than guessed.  The built-in family needs no
 summit search: :func:`family_type1_form` hands recognition the
 closed-form conjugator sigma_2^-1 sigma_1^-2 (:data:`FAMILY_CONJUGATOR`),
 which conjugates the first candidate, h sigma_1 sigma_2^-(2n+5), onto
-K_n and is checked through the reduced Burau matrix, faithful on 3
-strands (:func:`garside.verify_certificate`), so the family builds no
-Garside normal form.
+K_n and is checked on integers, by exponent sum and SL(2, Z) image,
+which decide equality on 3 strands (:func:`garside.verify_certificate`),
+so the family builds no Garside normal form, and the check no Burau
+matrix.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from .garside import (
 FULL_TWIST = (1, 2, 1, 2, 1, 2)
 
 # sigma_2^-1 sigma_1^-2 conjugates h sigma_1 sigma_2^-(2n+5) onto
-# family_word(n); family_type1_form checks it for each n through the
-# reduced Burau matrix, and the summit search finds this same word for
-# n = 1 to 8.
+# family_word(n); family_type1_form checks it for each n through its
+# SL(2, Z) image, and the summit search finds this same word for n = 1 to 8.
 FAMILY_CONJUGATOR = (-2, -1, -1)
 
 # Default budget of the Type-1 search, in candidate forms tested.
@@ -169,9 +169,9 @@ def family_type1_form(n: int) -> Type1Form:
     The form is h sigma_1 sigma_2^-(2n+5), the first candidate of
     :func:`type1_recognize`, and the conjugator :data:`FAMILY_CONJUGATOR`,
     which recognition tries first and :func:`garside.verify_certificate`
-    checks by comparing reduced Burau matrices, faithful on 3 strands
-    (Birman, *Braids, Links, and Mapping Class Groups*, 1974, ch. 3).  Any
-    other outcome raises RuntimeError.
+    checks by comparing exponent sums and SL(2, Z) images, which decide
+    equality on 3 strands (:func:`braid.sl2_image`).  Any other outcome
+    raises RuntimeError.
     """
     conjugator = BraidWord(3, FAMILY_CONJUGATOR)
     form = Type1Form(1, ((1, 2 * n + 5),), ConjugacyCertificate(conjugator))

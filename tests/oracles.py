@@ -5,7 +5,7 @@ than the package's own types, so an agreement test really compares two
 implementations.  The word moves (conjugation, cyclic shift, mirror) build
 plain ``BraidWord`` values; only tests use them.  :func:`rewriting_equal`
 decides the word problem with no normal form, for the strand counts where
-the Burau check of ``bennequin verify`` would not be exact, and
+neither :func:`reduced_burau` nor the package's SL(2, Z) test is exact, and
 :func:`fixpoint_propagate` bounds tau by rounds of edge relaxation, where
 the package takes shortest paths.  The seeded corpora are not oracles:
 they come from :mod:`bennequin.checks`, so the tests and ``bennequin
@@ -18,6 +18,7 @@ import math
 import random
 from fractions import Fraction
 
+from bennequin.alexander import _burau_columns
 from bennequin.braid import BraidWord, closure_permutation, exponent_sum, free_reduce
 from bennequin.checks import (  # noqa: F401  (re-exported corpora)
     EXTRA_LENGTH,
@@ -202,6 +203,19 @@ def burau_product(w: BraidWord) -> list[list[dict]]:
     for k in w.letters:
         result = poly_mat_mul(result, burau_letter(w.strands, k))
     return result
+
+
+def reduced_burau(w: BraidWord) -> list[list[dict]]:
+    """Reduced Burau matrix of a word, built run by run by the package's
+    ``alexander._burau_columns``, which :func:`burau_product` checks.
+
+    The representation is faithful on 3 strands (Birman, *Braids, Links,
+    and Mapping Class Groups*, 1974, ch. 3), so equal matrices decide equal
+    braids there: the oracle for the package's SL(2, Z) test
+    (``braid.sl2_image``) and its normal forms.
+    """
+    cols = _burau_columns(w)
+    return [[col[r] for col in cols] for r in range(len(cols))]
 
 
 # -- braid words -------------------------------------------------------------

@@ -14,7 +14,6 @@ from bennequin.alexander import (
     knot_determinant,
     laurent_det,
     normalize,
-    reduced_burau,
 )
 from bennequin.braid import BraidWord, closure_components, family_word
 from bennequin.quadform import congruence_diagonalize
@@ -26,6 +25,7 @@ from oracles import (
     poly_mul,
     random_knot_words,
     random_words,
+    reduced_burau,
 )
 
 ONE = {0: 1}

@@ -19,12 +19,17 @@ from bennequin.alexander import (
     burau_alexander,
     knot_determinant,
     laurent_det,
-    reduced_burau,
 )
 from bennequin.braid import BraidWord
 from bennequin.quadform import congruence_diagonalize
 from bennequin.seifert import seifert_matrix
-from oracles import burau_product, cofactor_laurent_det, poly_add, poly_mul
+from oracles import (
+    burau_product,
+    cofactor_laurent_det,
+    poly_add,
+    poly_mul,
+    reduced_burau,
+)
 from strategies import SIGN, knot_words, letters, run_words
 
 # fixed examples and no example database, so every run checks the same words

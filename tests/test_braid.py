@@ -18,6 +18,7 @@ from bennequin.braid import (
     inverse_word,
     parse_braid,
     self_linking,
+    sl2_image,
 )
 from bennequin.threebraid import type1_word
 from oracles import conjugate, cyclic_shift, mirror, random_words, word_cycle_count
@@ -180,6 +181,33 @@ def test_moves_preserve_closure_invariants():
         reduced = free_reduce(w)
         assert exponent_sum(reduced) == exponent_sum(w)
         assert closure_components(reduced) == closure_components(w)
+
+
+def test_sl2_image_of_letters_runs_and_the_half_twist():
+    assert sl2_image(BraidWord(1)) == (1, 0, 0, 1)
+    assert sl2_image(BraidWord(3, (1,))) == (1, 1, 0, 1)
+    assert sl2_image(BraidWord(3, (2,))) == (1, 0, -1, 1)
+    assert sl2_image(BraidWord(2, (-1,) * 7)) == (1, -7, 0, 1)
+    assert sl2_image(BraidWord(3, (2,) * 5)) == (1, 0, -5, 1)
+    half_twist = (0, 1, -1, 0)
+    assert sl2_image(BraidWord(3, (1, 2, 1))) == sl2_image(BraidWord(3, (2, 1, 2)))
+    assert sl2_image(BraidWord(3, (2, 1, 2))) == half_twist
+    assert sl2_image(BraidWord(3, (1, 2, 1) * 2)) == (-1, 0, 0, -1)
+    assert sl2_image(BraidWord(3, (1, 2, 1) * 4)) == (1, 0, 0, 1)
+    with pytest.raises(ValueError, match="at most 3 strands"):
+        sl2_image(BraidWord(4, (1,)))
+
+
+def test_sl2_image_is_a_homomorphism():
+    rng = random.Random(97)
+    for strands in (2, 3):
+        for w, v in zip(*(random_words(rng, 20, strands, 12) for _ in "wv")):
+            (a, b, c, d), (e, f, g, h) = sl2_image(w), sl2_image(v)
+            product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            assert sl2_image(BraidWord(strands, w.letters + v.letters)) == product
+            assert a * d - b * c == 1
+            inverse = sl2_image(inverse_word(w))
+            assert inverse == (d, -b, -c, a)
 
 
 def test_inverse_word():

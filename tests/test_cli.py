@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bennequin import checks, cli, garside, quadform, seifert, threebraid
+from bennequin import braid, checks, cli, garside, quadform, seifert, threebraid
 from bennequin.braid import BraidWord
 from bennequin.cli import run
 from bennequin.garside import ConjugacyCertificate
@@ -113,6 +113,42 @@ def test_family_past_the_rank_cap_exits_2(capsys, n):
     assert f"more than the limit of {seifert.MAX_RANK}" in err
     assert seconds < 0.5
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "command, strands",
+    [
+        ("invariants", "100000000"),
+        ("invariants", "1000000"),
+        ("seifert", "1000000"),
+        ("alexander", "1000000"),
+        ("seifert", "3"),
+    ],
+)
+def test_strands_past_the_letters_exit_2(capsys, monkeypatch, command, strands):
+    # a knot closure on n strands needs n - 1 letters; no strand is tracked
+    def tracked(w):
+        raise AssertionError(f"tracked {w.strands} strands")
+
+    monkeypatch.setattr(braid, "closure_permutation", tracked)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "1", "--strands", strands)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert f"needs at least {int(strands) - 1} letters, got 1" in err
+    assert len(err) < 120
+
+
+def test_strands_at_the_letters_pass_the_bound(capsys):
+    code, out, _ = run_cli(capsys, "alexander", "1 2", "--strands", "3")
+    assert (code, out) == (0, "0:1\n")
+
+
+def test_parse_echoes_any_strand_count(capsys):
+    code, out, _ = run_cli(capsys, "parse", "1 -1", "--strands", "100000000")
+    assert code == 0
+    assert out == "1 -1\n"
 
 
 def test_seifert_formats(capsys):
@@ -414,19 +450,24 @@ def tau_chain(nodes: int, edges: int) -> dict:
     return {"nodes": nodes, "edges": (chain + chain[:1] * edges)[:edges]}
 
 
+# The documented caps, written out: a test that read cli.MAX_TAU_NODES would
+# move its boundary with the constant, and 501 nodes would pass unnoticed.
+TAU_NODES, TAU_EDGES = 500, 500
+
+
 def test_tau_graph_at_its_caps(tmp_path, capsys):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(tau_chain(cli.MAX_TAU_NODES, cli.MAX_TAU_EDGES)))
+    path.write_text(json.dumps(tau_chain(TAU_NODES, TAU_EDGES)))
     code, out, _ = run_cli(capsys, "tau", str(path))
     assert code == 0
     intervals = json.loads(out)
-    assert len(intervals) == cli.MAX_TAU_NODES
-    assert intervals["n0"] == {"lower": -(cli.MAX_TAU_NODES - 1), "upper": 0}
+    assert len(intervals) == TAU_NODES
+    assert intervals["n0"] == {"lower": -(TAU_NODES - 1), "upper": 0}
 
 
 @pytest.mark.parametrize(
     "nodes, edges",
-    [(cli.MAX_TAU_NODES + 1, cli.MAX_TAU_NODES), (2, cli.MAX_TAU_EDGES + 1)],
+    [(TAU_NODES + 1, TAU_EDGES), (2, TAU_EDGES + 1), (TAU_NODES, TAU_EDGES + 1)],
 )
 def test_tau_graph_past_its_caps_exits_2(tmp_path, capsys, nodes, edges):
     path = tmp_path / "graph.json"

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from bennequin import garside
-from bennequin.alexander import reduced_burau
+from bennequin import alexander, garside
 from bennequin.braid import (
     BraidWord,
     concat,
+    exponent_sum,
     family_word,
     free_reduce,
     inverse_word,
+    sl2_image,
 )
 from bennequin.garside import (
     MAX_CONJUGACY_STRANDS,
@@ -36,6 +37,7 @@ from oracles import (
     normal_form_word,
     perm_letters,
     random_words,
+    reduced_burau,
     rewriting_equal,
     word_pairs,
 )
@@ -221,8 +223,13 @@ CENTRAL_PAIRS = (
 )
 
 
+def sl2_equal(w1, w2):
+    return exponent_sum(w1) == exponent_sum(w2) and sl2_image(w1) == sl2_image(w2)
+
+
 def test_burau_matrix_and_normal_forms_decide_the_same_pairs():
-    # the reduced Burau representation is faithful on 3 strands
+    # the reduced Burau representation is faithful on 3 strands, and so is
+    # the SL(2, Z) image together with the exponent sum
     pairs = [
         (BraidWord(3, w + FULL_TWIST), BraidWord(3, FULL_TWIST + w))
         for w in CENTRAL_PAIRS
@@ -230,14 +237,31 @@ def test_burau_matrix_and_normal_forms_decide_the_same_pairs():
     for w1, w2 in pairs:
         assert words_equal(w1, w2)
         assert reduced_burau(w1) == reduced_burau(w2)
+        assert sl2_equal(w1, w2)
     # half the pairs are equal by construction, the rest are drawn freely
     pairs = word_pairs(random.Random(71), 3000, max_len=14)
     equal = 0
     for w1, w2 in pairs:
         same = words_equal(w1, w2)
         assert same == (reduced_burau(w1) == reduced_burau(w2)), (w1, w2)
+        assert same == sl2_equal(w1, w2), (w1, w2)
         equal += same
     assert 1500 <= equal < 3000
+
+
+def test_central_powers_of_delta_are_not_the_empty_word():
+    # Delta^4 generates the kernel of the SL(2, Z) image, so only the
+    # exponent sum, 12 here, tells it from the empty word
+    empty = BraidWord(3, ())
+    delta2, delta4 = BraidWord(3, FULL_TWIST), BraidWord(3, FULL_TWIST * 2)
+    assert sl2_image(delta4) == sl2_image(empty)
+    assert sl2_image(delta2) != sl2_image(empty)
+    for power in (delta2, delta4):
+        assert not words_equal(power, empty)
+        assert reduced_burau(power) != reduced_burau(empty)
+        assert not verify_certificate(power, empty, empty)
+        assert not verify_certificate(empty, power, empty)
+        assert not verify_certificate(power, empty, BraidWord(3, (1, -2)))
 
 
 def test_family_conjugacy_certificates():
@@ -315,9 +339,9 @@ def test_verify_certificate_basics():
 
 def test_verify_certificate_agrees_with_the_word_problem(monkeypatch):
     # w2 = c w1 c^-1 exactly when w2 c = c w1; up to 3 strands the check
-    # compares Burau matrices, from 4 on normal forms.  A true w2 is spelled
-    # through its normal form, so it is equal to c w1 c^-1 in the braid
-    # group but not only by free cancellation.
+    # compares exponent sums and SL(2, Z) images, from 4 on normal forms.
+    # A true w2 is spelled through its normal form, so it is equal to
+    # c w1 c^-1 in the braid group but not only by free cancellation.
     rng = random.Random(83)
     triples = [(BraidWord(1), BraidWord(1), BraidWord(1))]
     for strands, count in ((2, 30), (3, 150), (4, 8)):
@@ -338,11 +362,12 @@ def test_verify_certificate_agrees_with_the_word_problem(monkeypatch):
     assert 180 < sum(expected) < len(expected) - 250
 
     def refuse(*args):
-        raise AssertionError("built a normal form on at most 3 strands")
+        raise AssertionError("built a normal form or Burau matrix up to 3 strands")
 
     with monkeypatch.context() as patch:
         patch.setattr(garside, "normal_form", refuse)
         patch.setattr(garside, "words_equal", refuse)
+        patch.setattr(alexander, "_burau_columns", refuse)
         for (w1, w2, c), want in zip(triples, expected):
             if w1.strands <= 3:
                 assert verify_certificate(w1, w2, c) == want, (w1, w2, c)
@@ -352,8 +377,7 @@ def test_verify_certificate_agrees_with_the_word_problem(monkeypatch):
 
 
 def test_verify_certificate_on_long_3_strand_runs():
-    # each run is one closed-form step of the Burau product: both checks
-    # take about 0.05 s, against about 15 s letter by letter
+    # each run is one step of the SL(2, Z) product
     w = BraidWord(3, (1,) * 2000 + (-2,) * 2000)
     c = BraidWord(3, (2, 1))
     w2 = conjugate(w, c)
@@ -363,6 +387,25 @@ def test_verify_certificate_on_long_3_strand_runs():
     assert verify_certificate(w, w2, c)
     assert not verify_certificate(w, BraidWord(3, flipped), c)
     assert time.perf_counter() - start < 2
+
+
+def test_verify_certificate_on_a_long_random_3_strand_word():
+    # random letters make short runs, so about one step per letter, and the
+    # integers grow with the length; Burau matrices took over 1 s at 2,000
+    rng = random.Random(89)
+    w = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(10_000)))
+    c = BraidWord(3, (2, -1, 2))
+    w2 = conjugate(w, c)
+    # sigma_1 <-> sigma_2 at one letter keeps the exponent sum; x a y = x b y
+    # only if a = b, so the product is another braid
+    i = len(w2.letters) // 2
+    k = w2.letters[i]
+    swapped = (3 - abs(k)) * (1 if k > 0 else -1)
+    moved = w2.letters[:i] + (swapped,) + w2.letters[i + 1 :]
+    start = time.perf_counter()
+    assert verify_certificate(w, w2, c)
+    assert not verify_certificate(w, BraidWord(3, moved), c)
+    assert time.perf_counter() - start < 1
 
 
 def test_node_cap_raises_distinct_error():

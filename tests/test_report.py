@@ -121,6 +121,17 @@ def test_defect_growth_check_compares_the_seifert_route(monkeypatch):
         checks._defect_growth(1, checks.SEED)
 
 
+def test_word_problem_check_compares_exponent_sums(monkeypatch):
+    # Delta^4 has the empty word's SL(2, Z) image; only its exponent sum, 12,
+    # tells it from the empty word
+    pair = (BraidWord(3, (1, 2) * 6), BraidWord(3, ()))
+    monkeypatch.setattr(checks, "word_pairs", lambda rng, count: [pair])
+    assert checks._word_problem(1, checks.SEED).startswith("normal forms agree")
+    monkeypatch.setattr(checks, "words_equal", lambda w1, w2: True)
+    with pytest.raises(checks.CheckFailed, match="normal forms on '1 2 1 2"):
+        checks._word_problem(1, checks.SEED)
+
+
 def test_family_report_runs_no_summit_search(monkeypatch):
     # the family's Type-1 form comes from its verified closed-form conjugator
     def refuse(*args, **kwargs):
@@ -134,7 +145,7 @@ def test_family_report_runs_no_summit_search(monkeypatch):
 
 
 def test_family_report_builds_no_normal_form(monkeypatch):
-    # the family's 3-strand certificate is checked through the Burau matrix
+    # the family's 3-strand certificate is checked through its SL(2, Z) image
     def refuse(*args, **kwargs):
         raise AssertionError("family_report built a Garside normal form")
 

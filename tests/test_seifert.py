@@ -77,6 +77,17 @@ def test_disconnected_surface_rejected():
         seifert_matrix(BraidWord(3, (1,)))
 
 
+def test_disconnected_surface_lists_ten_columns_and_a_count():
+    with pytest.raises(DisconnectedSurfaceError, match=r"column\(s\) \[2, 4\] unused"):
+        seifert_matrix(BraidWord(5, (1, 3)))
+    with pytest.raises(DisconnectedSurfaceError) as raised:
+        seifert_matrix(BraidWord(10**6, (1, -1)))
+    message = str(raised.value)
+    assert message.startswith("generator column(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]")
+    assert "and 999988 more unused" in message
+    assert len(message) < 120
+
+
 def test_intersection_form_unimodular():
     rng = random.Random(9)
     for w in random_knot_words(rng, 40):
